@@ -49,19 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl.BoolVar(&o.smoke, "smoke", false, "tiny simulation lengths, for the benchmark's own tests")
 	fl.StringVar(&o.root, "root", ".", "checkout root; scratch stores go under <root>/.bench_build")
 	fl.StringVar(&o.commit, "commit", "none", "git commit of the checkout, for the environment stamp")
-	calib := fl.Bool("calibrate", false, "print phased16's per-seed stepped cycles and seed pool, then exit")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
 	// Every timing assumes this thread budget, on any host.
 	runtime.GOMAXPROCS(2)
-	if *calib {
-		if err := calibrate(stdout); err != nil {
-			fmt.Fprintln(stderr, "perfbench:", err)
-			return 1
-		}
-		return 0
-	}
 	if traceFlag != 0 && traceFlag != 1 {
 		fmt.Fprintf(stderr, "perfbench: -trace must be 0 or 1, got %d\n", traceFlag)
 		return 2

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 )
 
 // cpuLayers are the per-cycle layers a CPU profile of Engine.Run is split
@@ -22,7 +24,11 @@ var cpuLayers = []struct {
 	{"noc.rc", exact("wimc/internal/noc.(*Switch).TickRC")},
 	{"noc.va", exact("wimc/internal/noc.(*Switch).TickVA")},
 	{"noc.sast", exact("wimc/internal/noc.(*Switch).TickSAST")},
-	{"noc.link", exact("wimc/internal/noc.(*Link).Deliver")},
+	{"noc.link", exact(
+		"wimc/internal/noc.(*Link).Deliver",
+		"wimc/internal/noc.(*Link).DeliverFlitHalf", "wimc/internal/noc.(*Link).DeliverCreditHalf",
+		"wimc/internal/noc.(*Link).DrainFlitInbox", "wimc/internal/noc.(*Link).DrainCreditInbox",
+	)},
 	{"noc.endpoint", exact("wimc/internal/noc.(*Endpoint).Tick")},
 	{"core.launch", exact("wimc/internal/core.(*Fabric).Launch")},
 	{"core.deliver", exact("wimc/internal/core.(*Fabric).Deliver")},
@@ -72,19 +78,37 @@ func layerNames() []string {
 // cpuSplit is one CPU profile attributed to layers, in CPU nanoseconds.
 type cpuSplit struct {
 	layers map[string]int64
-	runNS  int64 // samples under a Run root, counted independently of layers
+	runNS  int64 // samples under a Run root; the layer rows sum to it
 	newNS  int64 // samples under engine.New
 	allNS  int64 // every sample in the profile
+	// strayNS counts samples in simulation code under neither a Run root
+	// nor engine.New: Run work the root matching missed, such as a shard
+	// worker closure that was renamed or a stack cut short.
+	strayNS int64
+	// rusageNS is the process CPU time over the profiled window, measured
+	// apart from the profile.
+	rusageNS int64
 }
 
-// unattributed returns Run CPU not covered by the layer rows; any value
-// other than zero is an attribution bug.
-func (s cpuSplit) unattributed() int64 {
-	sum := int64(0)
-	for _, v := range s.layers {
-		sum += v
+// coverageSlack is how far the profile's CPU total may stray from the
+// process CPU time, as a share of it. On a 64-chip run the profile sees
+// 96-97% of the rusage CPU (runtime work outside any sampled stack); a
+// shard worker's CPU going missing would cost about half. A further 20 ms
+// per thread covers the sampling period each thread can leave unsampled.
+const coverageSlack = 0.10
+
+// check returns a message when the split cannot be trusted to account for
+// all of Engine.Run: simulation code ran outside every root, or the
+// profile missed process CPU time the rusage counters saw.
+func (s cpuSplit) check() string {
+	if s.strayNS != 0 {
+		return fmt.Sprintf("profile: %d ns of simulation CPU outside Engine.Run and engine.New", s.strayNS)
 	}
-	return s.runNS - sum
+	slack := coverageSlack*float64(s.rusageNS) + float64(runtime.GOMAXPROCS(0))*float64(20*time.Millisecond)
+	if d := float64(s.allNS - s.rusageNS); d > slack || -d > slack {
+		return fmt.Sprintf("profile: %d ns of samples, process CPU %d ns", s.allNS, s.rusageNS)
+	}
+	return ""
 }
 
 // profiled runs fn under the CPU profiler and attributes its samples.
@@ -93,7 +117,9 @@ func profiled(fn func() error) (cpuSplit, error) {
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		return cpuSplit{}, fmt.Errorf("start cpu profile: %w", err)
 	}
+	cpu0 := cpuTime()
 	err := fn()
+	cpu := cpuTime() - cpu0
 	pprof.StopCPUProfile()
 	if err != nil {
 		return cpuSplit{}, err
@@ -102,7 +128,9 @@ func profiled(fn func() error) (cpuSplit, error) {
 	if err != nil {
 		return cpuSplit{}, err
 	}
-	return attribute(prof), nil
+	s := attribute(prof)
+	s.rusageNS = cpu.Nanoseconds()
+	return s, nil
 }
 
 func attribute(p *profile) cpuSplit {
@@ -113,21 +141,39 @@ func attribute(p *profile) cpuSplit {
 		for _, id := range smp.locs {
 			frames = append(frames, p.locFuncs[id]...)
 		}
-		inRun, inNew := false, false
+		inRun, inNew, inSim := false, false, false
 		for _, fn := range frames {
 			inRun = inRun || isRunRoot(fn)
 			inNew = inNew || isNew(fn)
+			inSim = inSim || isSim(fn)
 		}
-		if inNew {
+		switch {
+		case inRun:
+			s.runNS += smp.ns
+			s.layers[classify(frames)] += smp.ns
+		case inNew:
 			s.newNS += smp.ns
+		case inSim:
+			s.strayNS += smp.ns
 		}
-		if !inRun {
-			continue
-		}
-		s.runNS += smp.ns
-		s.layers[classify(frames)] += smp.ns
 	}
 	return s
+}
+
+// isSim reports whether fn belongs to a package whose code runs only
+// inside engine.New and Engine.Run.
+func isSim(fn string) bool {
+	for _, pkg := range simPackages {
+		if strings.HasPrefix(fn, pkg) {
+			return true
+		}
+	}
+	return false
+}
+
+var simPackages = []string{
+	"wimc/internal/noc.", "wimc/internal/core.", "wimc/internal/traffic.",
+	"wimc/internal/energy.", "wimc/internal/engine.",
 }
 
 func classify(frames []string) string {

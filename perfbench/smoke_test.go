@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"os"
 	"strings"
 	"testing"
+
+	"wimc/internal/config"
+	"wimc/internal/engine"
 )
 
 type benchFile struct {
@@ -93,6 +95,10 @@ func TestClassify(t *testing.T) {
 		{[]string{va, pipe, worker}, "noc.va"},
 		{[]string{"wimc/internal/engine.(*Engine).horizon", run}, "engine.other"},
 		{[]string{"wimc/internal/traffic.(*App).NextFor", "wimc/internal/engine.(*Engine).generate", run}, "traffic.gen"},
+		{[]string{"wimc/internal/noc.(*Link).DeliverFlitHalf", pipe, worker}, "noc.link"},
+		{[]string{"wimc/internal/noc.(*Link).DeliverCreditHalf", pipe, worker}, "noc.link"},
+		{[]string{"wimc/internal/noc.(*Link).DrainFlitInbox", pipe, worker}, "noc.link"},
+		{[]string{"wimc/internal/noc.(*Link).DrainCreditInbox", pipe, worker}, "noc.link"},
 	}
 	for _, c := range cases {
 		if got := classify(c.frames); got != c.want {
@@ -101,24 +107,64 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-// TestProfileAttribution profiles real work and checks the rows add up.
+// TestAttributeStray checks that simulation code found under no Run root
+// (here a shard worker whose closure name the root matching does not know)
+// fails the check instead of vanishing from both sides.
+func TestAttributeStray(t *testing.T) {
+	p := &profile{
+		locFuncs: map[uint64][]string{
+			1: {"wimc/internal/noc.(*Switch).TickVA"},
+			2: {"wimc/internal/engine.(*Engine).Run"},
+			3: {"wimc/internal/engine.(*Engine).tickShardPipeline"},
+			4: {"wimc/internal/engine.newShardBarrier.gowrap1"},
+			5: {"runtime.gcBgMarkWorker"},
+		},
+		samples: []sample{
+			{locs: []uint64{1, 2}, ns: 1e9},
+			{locs: []uint64{1, 3, 4}, ns: 1e9},
+			{locs: []uint64{5}, ns: 1e9},
+		},
+	}
+	s := attribute(p)
+	s.rusageNS = s.allNS
+	if s.runNS != 1e9 || s.strayNS != 1e9 || s.allNS != 3e9 {
+		t.Fatalf("run %d stray %d all %d", s.runNS, s.strayNS, s.allNS)
+	}
+	if s.check() == "" {
+		t.Fatal("stray simulation CPU passed the check")
+	}
+	s.strayNS = 0
+	if msg := s.check(); msg != "" {
+		t.Fatal(msg)
+	}
+	s.rusageNS = 2 * s.allNS
+	if s.check() == "" {
+		t.Fatal("a profile missing half the process CPU passed the check")
+	}
+}
+
+// TestProfileAttribution profiles real work on the serial and the sharded
+// step loop, long enough for the profiler to sample it, and checks that
+// the profile accounts for Engine.Run.
 func TestProfileAttribution(t *testing.T) {
-	p, err := phasedParams(1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := engineOp(p, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.bad != "" {
-		t.Fatal(out.bad)
-	}
-	sum := 0.0
-	for _, n := range layerNames() {
-		sum += out.layers[n]
-	}
-	if total := out.layers["engine.run_total"]; math.Abs(sum-total) > 1e-9*total {
-		t.Fatalf("layer rows sum to %v, Engine.Run total %v", sum, total)
+	for _, shards := range []int{0, runShards} {
+		cfg, err := config.XCYM(16, 16, config.ArchWireless)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.EngineShards = shards
+		cfg.WarmupCycles, cfg.MeasureCycles = 100, 2000
+		out, err := engineOp(engine.Params{Cfg: cfg, BuildWorkers: 1, Traffic: engine.TrafficSpec{
+			Kind: engine.TrafficUniform, Rate: 1.0, MemFraction: 0.2,
+		}}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.bad != "" {
+			t.Fatalf("shards %d: %s", shards, out.bad)
+		}
+		if out.layers["engine.run_total"] <= 0 {
+			t.Fatalf("shards %d: no Engine.Run samples", shards)
+		}
 	}
 }

@@ -442,17 +442,14 @@ func stepped(rs []*engine.Result) int64 {
 }
 
 // profileLayers records the per-cycle rows as CPU ns per stepped cycle and
-// returns a message when the rows do not add up to the Run total.
+// returns a message when the profile does not account for all of Run.
 func profileLayers(s cpuSplit, steppedCycles int64, layers map[string]float64) string {
 	per := func(ns int64) float64 { return float64(ns) / float64(steppedCycles) }
 	for _, name := range layerNames() {
 		layers[name] = per(s.layers[name])
 	}
 	layers["engine.run_total"] = per(s.runNS)
-	if u := s.unattributed(); u != 0 {
-		return fmt.Sprintf("profile: %d ns of Engine.Run CPU unattributed", u)
-	}
-	return ""
+	return s.check()
 }
 
 func digest(b []byte) string {
