@@ -103,23 +103,37 @@ type report struct {
 // measure runs operations back to back until the time is up (and at least
 // two have run, so outputs can be compared), then reports medians. A
 // traced run alternates untraced and traced operations: the traced ones
-// give the per-layer rows, the untraced ones the baseline for the tracing
-// overhead and the CPU-busy fractions.
+// give the per-layer rows, the untraced ones the wall-clock rows, the
+// baseline for the tracing overhead and the CPU-busy fractions. A workload
+// with a sharded variant takes turns with it, plain and traced, in traced
+// runs.
 func measure(w *workload, o options, log io.Writer) report {
 	ref := goldenDigest(w, o.smoke)
 	refSource := "golden"
 	if ref == "" {
 		refSource = "first operation"
 	}
-	var plain, traced []opOut
+	var plain, traced, shardPlain, shardTraced []opOut
 	attempted, failed := 0, 0
+	kinds := 1
+	if o.trace {
+		kinds = 2
+		if w.shardOp != nil {
+			kinds = 4
+		}
+	}
 	steal0, total0 := hostSteal()
 	start := time.Now()
 	limit := time.Duration(o.seconds * float64(time.Second))
-	for attempted < 2 || time.Since(start) < limit {
-		tr := o.trace && attempted%2 == 1
+	for attempted < max(2, kinds) || time.Since(start) < limit {
+		kind := attempted % kinds
+		tr, sharded := kind%2 == 1, kind >= 2
 		attempted++
-		out, err := w.op(tr)
+		op := w.op
+		if sharded {
+			op = w.shardOp
+		}
+		out, err := op(tr)
 		if err == nil && out.bad == "" && ref == "" {
 			ref = out.digest
 		}
@@ -129,7 +143,8 @@ func measure(w *workload, o options, log io.Writer) report {
 		case out.bad == "" && out.digest != ref:
 			out.bad = fmt.Sprintf("output digest %s, want %s (%s)", out.digest, ref, refSource)
 		}
-		fmt.Fprintf(log, "op %d traced=%v wall_s=%.4f digest=%s", attempted, tr, out.e2e["wall_s"], out.digest)
+		fmt.Fprintf(log, "op %d traced=%v sharded=%v wall_s=%.4f cpu_s=%.4f digest=%s",
+			attempted, tr, sharded, out.layers["wall_s"], out.e2e["cpu_s"], out.digest)
 		if out.bad != "" {
 			failed++
 			fmt.Fprintf(log, " FAILED: %s", out.bad)
@@ -138,9 +153,14 @@ func measure(w *workload, o options, log io.Writer) report {
 		if out.bad != "" {
 			continue
 		}
-		if tr {
+		switch {
+		case sharded && tr:
+			shardTraced = append(shardTraced, out)
+		case sharded:
+			shardPlain = append(shardPlain, out)
+		case tr:
 			traced = append(traced, out)
-		} else {
+		default:
 			plain = append(plain, out)
 		}
 	}
@@ -155,6 +175,10 @@ func measure(w *workload, o options, log io.Writer) report {
 		names = perLayer()
 	}
 	for _, m := range names {
+		p, t := plain, traced
+		if shardRows[m.name] && w.shardOp != nil {
+			p, t = shardPlain, shardTraced
+		}
 		var v float64
 		switch {
 		case !o.trace:
@@ -164,13 +188,12 @@ func measure(w *workload, o options, log io.Writer) report {
 		case m.name == "error_rate":
 			v = float64(failed) / float64(attempted)
 		case m.name == "trace.overhead_s":
-			v = median(traced, func(op opOut) float64 { return op.e2e["wall_s"] }) -
-				median(plain, func(op opOut) float64 { return op.e2e["wall_s"] })
-		case m.name == "exp.worker_busy_frac" || m.name == "engine.shard_busy_frac":
-			// CPU over wall: the profiler's own CPU would inflate it.
-			v = median(plain, func(op opOut) float64 { return op.layers[m.name] })
+			v = median(traced, func(op opOut) float64 { return op.layers["wall_s"] }) -
+				median(plain, func(op opOut) float64 { return op.layers["wall_s"] })
+		case untracedRows[m.name]:
+			v = median(p, func(op opOut) float64 { return op.layers[m.name] })
 		default:
-			v = median(traced, func(op opOut) float64 { return op.layers[m.name] })
+			v = median(t, func(op opOut) float64 { return op.layers[m.name] })
 		}
 		rep.Metrics[m.name] = metric{Value: v, Unit: m.unit}
 	}
@@ -196,19 +219,36 @@ func median[T any](xs []T, f func(T) float64) float64 {
 
 type metricDef struct{ name, unit string }
 
-// endToEnd are the metrics a user of the simulator sees.
+// endToEnd are the metrics a user of the simulator sees. Times are the
+// process's CPU time: on a shared virtual machine, wall time also counts
+// the time the hypervisor runs other guests, so it is reported per layer.
 var endToEnd = []metricDef{
-	{"wall_s", "s"},
+	{"cpu_s", "s"},
 	{"setup_s", "s"},
-	{"sim_cycles_per_s", "cycles/s"},
+	{"sim_cycles_per_cpu_s", "cycles/s"},
 	{"alloc_mb", "MB"},
 	{"live_heap_mb", "MB"},
+}
+
+// untracedRows are per-layer rows taken from untraced operations: wall
+// time and CPU over wall, which the profiler's own work would distort.
+var untracedRows = map[string]bool{
+	"wall_s": true, "sim_cycles_per_s": true,
+	"exp.worker_busy_frac": true, "engine.shard_busy_frac": true,
+}
+
+// shardRows exist only on the sharded step loop; a workload with a
+// sharded variant reports them from its sharded operations.
+var shardRows = map[string]bool{
+	"engine.replay": true, "engine.barrier": true, "engine.shard_busy_frac": true,
 }
 
 // perLayer lists the per-layer metrics in report order. Rows that do not
 // apply to a workload read 0 (README.md says which apply where).
 func perLayer() []metricDef {
 	defs := []metricDef{
+		{"wall_s", "s"},
+		{"sim_cycles_per_s", "cycles/s"},
 		{"error_rate", "frac"},
 		{"host.steal_frac", "frac"},
 		{"trace.overhead_s", "s"},

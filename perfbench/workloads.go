@@ -23,7 +23,7 @@ import (
 // uses more than two threads of simulation work.
 const (
 	poolWorkers = 2 // internal/exp pool workers on paper_figs
-	runShards   = 2 // engine_shards on sat64
+	runShards   = 2 // engine_shards of sat64's sharded operations
 )
 
 // paperFigures are the paper's own figures, regenerated by paper_figs.
@@ -32,7 +32,7 @@ var paperFigures = []string{"fig2", "fig3", "fig4", "fig5", "fig6"}
 // opOut is what one operation measured.
 type opOut struct {
 	e2e    map[string]float64 // end-to-end metrics of this operation
-	layers map[string]float64 // per-layer metrics (every op; profile rows only when traced)
+	layers map[string]float64 // per-layer metrics, wall-clock figures included (profile rows only when traced)
 	digest string             // SHA-256 of the operation's output
 	bad    string             // non-empty when a check inside the operation failed
 }
@@ -43,6 +43,9 @@ type opOut struct {
 type workload struct {
 	name string
 	op   func(traced bool) (opOut, error)
+	// shardOp, when set, runs the same operation on the sharded step loop.
+	// Only traced runs make it, for the rows only that loop has (shardRows).
+	shardOp func(traced bool) (opOut, error)
 	// seed is the configuration seed the workload runs, derived from the
 	// benchmark's --seed; golden digests are keyed by it.
 	seed uint64
@@ -63,18 +66,22 @@ func newWorkload(name string, seed int64, smoke bool, scratch string) (*workload
 		if err != nil {
 			return nil, err
 		}
-		cfg.EngineShards = runShards
 		cfg.Seed = cfgSeed
 		cfg.WarmupCycles, cfg.MeasureCycles = 500, 2500
 		if smoke {
 			cfg.WarmupCycles, cfg.MeasureCycles = 20, 80
 		}
-		p := engine.Params{Cfg: cfg, BuildWorkers: runShards, Traffic: engine.TrafficSpec{
+		p := engine.Params{Cfg: cfg, BuildWorkers: 1, Traffic: engine.TrafficSpec{
 			Kind: engine.TrafficUniform, Rate: 1.0, MemFraction: 0.2,
 		}}
-		return &workload{name: name, seed: cfgSeed, op: func(traced bool) (opOut, error) {
-			return engineOp(p, traced)
-		}}, nil
+		// The sharded run must give the serial run's Result byte for byte,
+		// so both are checked against the same digest.
+		sp := p
+		sp.Cfg.EngineShards, sp.BuildWorkers = runShards, runShards
+		return &workload{name: name, seed: cfgSeed,
+			op:      func(traced bool) (opOut, error) { return engineOp(p, traced) },
+			shardOp: func(traced bool) (opOut, error) { return engineOp(sp, traced) },
+		}, nil
 	case "phased16":
 		p, err := phasedParams(phasedSeed(seed), smoke)
 		if err != nil {
@@ -98,9 +105,11 @@ func engineOp(p engine.Params, traced bool) (opOut, error) {
 	runtime.GC()
 	alloc0 := totalAlloc()
 
+	cpuNew0 := cpuTime()
 	t0 := time.Now()
 	e, err := engine.New(p)
 	setup := time.Since(t0)
+	setupCPU := cpuTime() - cpuNew0
 	if err != nil {
 		return out, fmt.Errorf("engine.New: %w", err)
 	}
@@ -142,13 +151,15 @@ func engineOp(p engine.Params, traced bool) (opOut, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	out.e2e["wall_s"] = (setup + runWall).Seconds()
-	out.e2e["setup_s"] = setup.Seconds()
-	out.e2e["sim_cycles_per_s"] = float64(res.Cycles) / runWall.Seconds()
+	out.e2e["cpu_s"] = (setupCPU + cpu).Seconds()
+	out.e2e["setup_s"] = setupCPU.Seconds()
+	out.e2e["sim_cycles_per_cpu_s"] = float64(res.Cycles) / cpu.Seconds()
 	out.e2e["alloc_mb"] = float64(alloc) / 1e6
 	out.e2e["live_heap_mb"] = float64(live) / 1e6
+	out.layers["wall_s"] = (setup + runWall).Seconds()
+	out.layers["sim_cycles_per_s"] = float64(res.Cycles) / runWall.Seconds()
 	out.layers["engine.shard_busy_frac"] = cpu.Seconds() / (runWall.Seconds() * float64(shards))
-	out.layers["engine.new_share"] = setup.Seconds() / (setup + runWall).Seconds()
+	out.layers["engine.new_share"] = setupCPU.Seconds() / (setupCPU + cpu).Seconds()
 	resultLayers([]*engine.Result{res}, out.layers)
 	if traced {
 		out.bad = profileLayers(split, stepped([]*engine.Result{res}), out.layers)
@@ -231,13 +242,13 @@ func paperFigsOp(seed uint64, smoke bool, scratch string, traced bool) (opOut, e
 	}
 	runtime.GC()
 	built := make([]*engine.Engine, len(systems))
-	t := time.Now()
+	cpuNew0 := cpuTime()
 	for i, p := range systems {
 		if built[i], err = engine.New(p); err != nil {
 			return out, fmt.Errorf("engine.New(%s): %w", p.Cfg.Name, err)
 		}
 	}
-	setup := time.Since(t)
+	setupCPU := cpuTime() - cpuNew0
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -269,7 +280,7 @@ func paperFigsOp(seed uint64, smoke bool, scratch string, traced bool) (opOut, e
 	alloc0 := totalAlloc()
 	cpu0 := cpuTime()
 	var cold []byte
-	t = time.Now()
+	t := time.Now()
 	var split cpuSplit
 	if traced {
 		split, err = profiled(func() error { return regen(&cold) })
@@ -316,11 +327,13 @@ func paperFigsOp(seed uint64, smoke bool, scratch string, traced bool) (opOut, e
 		cycles += r.Cycles
 	}
 
-	out.e2e["wall_s"] = coldWall.Seconds()
-	out.e2e["setup_s"] = setup.Seconds()
-	out.e2e["sim_cycles_per_s"] = float64(cycles) / coldWall.Seconds()
+	out.e2e["cpu_s"] = cpu.Seconds()
+	out.e2e["setup_s"] = setupCPU.Seconds()
+	out.e2e["sim_cycles_per_cpu_s"] = float64(cycles) / cpu.Seconds()
 	out.e2e["alloc_mb"] = float64(alloc) / 1e6
 	out.e2e["live_heap_mb"] = float64(live) / 1e6
+	out.layers["wall_s"] = coldWall.Seconds()
+	out.layers["sim_cycles_per_s"] = float64(cycles) / coldWall.Seconds()
 	out.layers["figures.points"] = n
 	out.layers["store.warm_hit_frac"] = float64(hits) / n
 	out.layers["store.get_us_per_point"] = warmWall.Seconds() * 1e6 / n
