@@ -393,11 +393,12 @@ func TestFastForwardByteIdentical(t *testing.T) {
 }
 
 // TestShardInvariantsEveryCycle steps a loaded 16-chip sharded run cycle
-// by cycle and recomputes, per shard and per cycle, the pipeline masks of
-// the shard's switches and the MAC protocol state of its owned wireless
-// sub-channels (the per-shard flavor of TestPipelineInvariantsEveryCycle;
-// CheckShardInvariants only touches shard-owned state, so a pass here also
-// validates the ownership partition itself).
+// by cycle, at 2 and 4 shards, and recomputes, per shard and per cycle, the
+// pipeline masks and VA dirty flag of the shard's switches and the MAC
+// protocol state of its owned wireless sub-channels (the per-shard flavor
+// of TestPipelineInvariantsEveryCycle; CheckShardInvariants only touches
+// shard-owned state, so a pass here also validates the ownership partition
+// itself).
 func TestShardInvariantsEveryCycle(t *testing.T) {
 	cfg := config.MustXCYM(16, 8, config.ArchWireless)
 	cfg.WarmupCycles = 100
@@ -406,30 +407,35 @@ func TestShardInvariantsEveryCycle(t *testing.T) {
 	cfg.ChannelAssign = config.AssignSpatialReuse
 	cfg.WirelessChannels = 4
 	cfg.MACPolicyMode = config.PolicySkipEmpty
-	cfg.EngineShards = 4
 	tr := TrafficSpec{Kind: TrafficUniform, Rate: 0.01, MemFraction: 0.3, MemReadFraction: 0.5}
-	e, err := New(Params{Cfg: cfg, Traffic: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.stopShards()
-	if e.NumShards() != 4 {
-		t.Fatalf("built %d shards, want 4", e.NumShards())
-	}
-	total := cfg.WarmupCycles + cfg.MeasureCycles
-	for ; e.now < total; e.now++ {
-		e.step()
-		for si := 0; si < e.NumShards(); si++ {
-			if err := e.CheckShardInvariants(si); err != nil {
-				t.Fatalf("cycle %d shard %d: %v", e.now, si, err)
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sc := cfg
+			sc.EngineShards = shards
+			e, err := New(Params{Cfg: sc, Traffic: tr})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if err := e.CheckPipelineInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CheckFlitConservation(); err != nil {
-		t.Fatal(err)
+			defer e.stopShards()
+			if e.NumShards() != shards {
+				t.Fatalf("built %d shards, want %d", e.NumShards(), shards)
+			}
+			total := cfg.WarmupCycles + cfg.MeasureCycles
+			for ; e.now < total; e.now++ {
+				e.step()
+				for si := 0; si < e.NumShards(); si++ {
+					if err := e.CheckShardInvariants(si); err != nil {
+						t.Fatalf("cycle %d shard %d: %v", e.now, si, err)
+					}
+				}
+			}
+			if err := e.CheckPipelineInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.CheckFlitConservation(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -488,8 +494,8 @@ func BenchmarkShardedTick64(b *testing.B) {
 
 // TestPipelineInvariantsEveryCycle steps a loaded wireless system cycle by
 // cycle under both scheduling paths and recomputes every switch's
-// ready/rcReady masks and buffered/waiting counters from the VC buffers
-// each cycle (the ROADMAP's recompute-style mask invariant check: a mask
+// ready/rcReady/waiting/stalled masks, buffered counter and VA dirty flag
+// from the VC state each cycle (the ROADMAP's recompute-style mask invariant check: a mask
 // update dropped from shared switch code would skew both paths equally, so
 // only recomputation catches it).
 func TestPipelineInvariantsEveryCycle(t *testing.T) {

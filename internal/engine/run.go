@@ -588,8 +588,8 @@ func Run(p Params) (*Result, error) {
 }
 
 // CheckPipelineInvariants recomputes every switch's incrementally
-// maintained pipeline state (ready/rcReady VC masks, buffered and waiting
-// counters) from its VC buffers, plus the wireless fabric's MAC protocol
+// maintained pipeline state (ready/rcReady/waiting/stalled VC masks, the
+// buffered counter and the VA dirty flag) from its VC state, plus the wireless fabric's MAC protocol
 // state (announce accounting, active-turn queues — see
 // core.Fabric.CheckMACInvariants), and reports the first drift (test and
 // validation hook; call after Run or between runs).

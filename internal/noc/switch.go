@@ -45,13 +45,12 @@ const (
 
 // inputVC is one virtual channel of an input port.
 type inputVC struct {
-	buf      flitRing
-	state    vcState
-	outPort  int16
-	outVC    int16
-	phase    uint8 // VC class of the packet currently heading the buffer
-	nextHop  sim.SwitchID
-	routedAt sim.Cycle // cycle the head completed route computation
+	buf     flitRing
+	state   vcState
+	outPort int16
+	outVC   int16
+	phase   uint8 // VC class of the packet currently heading the buffer
+	nextHop sim.SwitchID
 }
 
 // InputPort is the receive side of a switch port.
@@ -59,18 +58,19 @@ type InputPort struct {
 	vcs    []inputVC
 	credit CreditSink
 	rrNom  int // round-robin pointer for switch-allocation nomination
-	// buffered counts flits across this port's VC buffers; all three
-	// pipeline stages skip a port with none (a VC can only nominate,
-	// request or route while its buffer holds its packet's head/flits).
-	buffered int
-	// ready marks VCs in vcActive state with a nonempty buffer (the SA
-	// nomination candidates); rcReady marks VCs in vcIdle state with a
-	// nonempty buffer (a waiting head flit, the RC candidates). The masks
-	// are maintained on every push, pop and state transition so the
-	// pipeline stages visit exactly the VCs the full scan would act on —
-	// in the same order — without touching the rest.
+	// The per-VC masks below are maintained on every push, pop, credit
+	// change and state transition, so each pipeline stage visits exactly
+	// the VCs a full scan would act on — in the same order — without
+	// touching the rest:
+	//
+	//	ready[vc]   ⇔ vcActive, buffer nonempty (SA nominee unless stalled)
+	//	rcReady[vc] ⇔ vcIdle, buffer nonempty (a head flit awaiting RC)
+	//	waiting[vc] ⇔ vcWaitVC (a VA request)
+	//	stalled[vc] ⇔ vcActive and the held output VC has no credits
 	ready   uint64
 	rcReady uint64
+	waiting uint64
+	stalled uint64
 }
 
 // outputVC is one virtual channel of an output port.
@@ -106,6 +106,22 @@ func (op *OutputPort) CreditOccupancy() (free, capacity int) {
 // Switch is a wormhole virtual-channel router with a three-stage pipeline:
 // route computation (RC), VC allocation (VA) and switch allocation plus
 // traversal (SA/ST). One flit per output port traverses per cycle.
+//
+// Both allocators are event-driven, with decisions identical to a full
+// scan every cycle:
+//
+//   - VA runs only while vaDirty is set. Exactly two transitions set it:
+//     RC moving an input VC into vcWaitVC (a new request), and a tail flit
+//     releasing an output VC in traverse (a new free VC). A VA call
+//     leaves no grantable request/free-VC pair behind, and one that grants
+//     nothing has no side effects (rrVA moves only on a grant), so every
+//     call skipped while the flag is clear is a no-op. TickVA clears it.
+//   - SA nominates from ready &^ stalled. The stalled bit of an active
+//     input VC is set when its output VC's credits reach 0 (a traversal
+//     spending the last one, or a VA grant onto an empty VC) and cleared
+//     when ReturnCredit brings them back to 1; a tail releases the output
+//     VC before its bit could be set. These are exactly the VCs a scan
+//     would pass over for lack of credits.
 type Switch struct {
 	ID sim.SwitchID
 
@@ -136,19 +152,16 @@ type Switch struct {
 	// pipeline ticks are provably no-ops while it is zero, which is the
 	// active-set scheduling predicate.
 	buffered int
-	// waiting counts input VCs in vcWaitVC state; TickVA is a no-op while
-	// it is zero.
-	waiting int
+	// vaDirty is set when a VA request or a free output VC appears since
+	// the last TickVA (see the allocator contract above).
+	vaDirty bool
 
 	active   *sim.ActiveSet
 	activeID int
 
-	// Preallocated VC-allocation scratch (per-cycle request list, grant
-	// flags and per-output-port request counts), reused to keep the hot
-	// loop allocation-free.
-	vaReqs    []vaReq
-	vaGranted []bool
-	vaPortCnt []int16
+	// vaReqs is preallocated VC-allocation scratch (the request list),
+	// reused to keep the hot loop allocation-free.
+	vaReqs []vaReq
 }
 
 // vaReq is one per-cycle VC-allocation request: an input VC in vcWaitVC
@@ -298,7 +311,6 @@ func (s *Switch) Receive(port int, vc int, f Flit) {
 	}
 	s.buffered++
 	ip := s.in[port]
-	ip.buffered++
 	switch ivc.state {
 	case vcIdle:
 		ip.rcReady |= 1 << uint(vc)
@@ -309,28 +321,35 @@ func (s *Switch) Receive(port int, vc int, f Flit) {
 }
 
 // ReturnCredit restores one downstream credit to output port port, VC vc.
+// The 0→1 transition unstalls the input VC holding the output VC.
 func (s *Switch) ReturnCredit(port, vc int) {
 	op := s.out[port]
-	op.vcs[vc].credits++
-	if op.vcs[vc].credits > op.maxCredits {
+	ovc := &op.vcs[vc]
+	ovc.credits++
+	if ovc.credits > op.maxCredits {
 		panic(fmt.Sprintf("noc: switch %d out port %d vc %d credit overflow", s.ID, port, vc))
+	}
+	if ovc.credits == 1 && ovc.holderPort >= 0 {
+		s.in[ovc.holderPort].stalled &^= 1 << uint(ovc.holderVC)
 	}
 }
 
 // TickSAST performs switch allocation and traversal: each input port
-// nominates one ready VC (round-robin), each output port grants one
-// nominee (round-robin) and the winning flit traverses to the conduit.
+// nominates one ready VC with downstream credit (round-robin), each output
+// port grants one nominee (round-robin) and the winning flit traverses to
+// the conduit.
 func (s *Switch) TickSAST(now sim.Cycle) {
 	if s.buffered == 0 {
 		return
 	}
 	s.nominated = s.nominated[:0]
 
-	// Stage 1: input-port nomination. The ready mask holds exactly the VCs
-	// the full scan would consider (vcActive, nonempty buffer); iterate its
-	// bits in the same wrap-around order starting at rrNom.
+	// Stage 1: input-port nomination. ready &^ stalled holds exactly the
+	// VCs a full scan would consider (vcActive, nonempty buffer, output VC
+	// credit); iterate its bits in the same wrap-around order starting at
+	// rrNom.
 	for ipIdx, ip := range s.in {
-		m := ip.ready
+		m := ip.ready &^ ip.stalled
 		if m == 0 {
 			continue
 		}
@@ -347,9 +366,6 @@ func (s *Switch) TickSAST(now sim.Cycle) {
 				mm &^= 1 << uint(vcIdx)
 				vc := &ip.vcs[vcIdx]
 				op := s.out[vc.outPort]
-				if op.vcs[vc.outVC].credits <= 0 {
-					continue
-				}
 				if !op.conduit.CanAccept(now) {
 					continue
 				}
@@ -420,7 +436,6 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 		panic(fmt.Sprintf("noc: switch %d SA popped empty vc", s.ID))
 	}
 	s.buffered--
-	ip.buffered--
 	bit := uint64(1) << uint(nm.inVC)
 	if vc.buf.len() == 0 {
 		ip.ready &^= bit
@@ -438,6 +453,7 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 
 	if f.IsTail() {
 		// Release the output VC and rearm the input VC for the next packet.
+		// The freed VC may be grantable to a waiting request: wake VA.
 		ovc.holderPort = -1
 		ovc.holderVC = -1
 		vc.state = vcIdle
@@ -448,6 +464,9 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 			// The next packet's head is already waiting: RC-eligible.
 			ip.rcReady |= bit
 		}
+		s.vaDirty = true
+	} else if ovc.credits == 0 {
+		ip.stalled |= bit
 	}
 
 	op.conduit.Accept(now, f, nextHop)
@@ -460,59 +479,45 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 
 // TickVA performs VC allocation: every routed input VC waiting for an
 // output VC requests one at its output port; free output VCs are granted
-// round-robin. Requests are collected once into preallocated scratch (a
-// request belongs to exactly one output port, so a global grant list is
-// equivalent to the per-port one).
+// round-robin. Requests are collected from the waiting masks into
+// preallocated scratch; a request belongs to exactly one output port, and a
+// granted one leaves the list. Every driver runs VA before RC within a
+// cycle, so a head routed at cycle t first requests at t+1 (the one-cycle
+// RC→VA stage that TestPipelineTiming pins). The call returns at once unless
+// vaDirty is set: see the Switch allocator contract for why that skips
+// only no-ops.
 func (s *Switch) TickVA(now sim.Cycle) {
-	if s.buffered == 0 || s.waiting == 0 {
+	if !s.vaDirty {
 		return
 	}
-	if len(s.vaPortCnt) != len(s.out) {
-		s.vaPortCnt = make([]int16, len(s.out))
-	}
-	for i := range s.vaPortCnt {
-		s.vaPortCnt[i] = 0
-	}
+	s.vaDirty = false
 	reqs := s.vaReqs[:0]
+	var portMask uint64
 	for ipIdx, ip := range s.in {
-		if ip.buffered == 0 {
-			continue
-		}
-		for vcIdx := range ip.vcs {
-			vc := &ip.vcs[vcIdx]
-			if vc.state == vcWaitVC && vc.routedAt < now {
-				reqs = append(reqs, vaReq{int16(ipIdx), int16(vcIdx), vc.outPort})
-				s.vaPortCnt[vc.outPort]++
-			}
+		for m := ip.waiting; m != 0; m &= m - 1 {
+			vcIdx := bits.TrailingZeros64(m)
+			outPort := ip.vcs[vcIdx].outPort
+			reqs = append(reqs, vaReq{int16(ipIdx), int16(vcIdx), outPort})
+			portMask |= 1 << uint(outPort)
 		}
 	}
 	s.vaReqs = reqs
-	if len(reqs) == 0 {
-		return
-	}
-	granted := s.vaGranted[:0]
-	for range reqs {
-		granted = append(granted, false)
-	}
-	s.vaGranted = granted
 
-	for opIdx, op := range s.out {
-		if s.vaPortCnt[opIdx] == 0 {
-			continue
-		}
-		// Rotate requesters by the round-robin pointer for fairness.
-		keyOf := func(r vaReq) int { return int(r.ipIdx)*s.vcCount + int(r.vcIdx) }
+	keyOf := func(r vaReq) int { return int(r.ipIdx)*s.vcCount + int(r.vcIdx) }
+	for ; portMask != 0; portMask &= portMask - 1 {
+		opIdx := bits.TrailingZeros64(portMask)
+		op := s.out[opIdx]
 		next := 0
 		for ovcIdx := range op.vcs {
-			ovc := &op.vcs[ovcIdx]
-			if ovc.holderPort != -1 {
+			if op.vcs[ovcIdx].holderPort != -1 {
 				continue
 			}
-			// Find the next ungranted requester at/after rrVA whose VC
-			// class permits this output VC.
+			// Find the next requester at/after rrVA whose VC class permits
+			// this output VC (rotating by the round-robin pointer for
+			// fairness).
 			best, bestRel := -1, 0
 			for i, r := range reqs {
-				if granted[i] || int(r.outPort) != opIdx {
+				if int(r.outPort) != opIdx {
 					continue
 				}
 				lo, hi := s.vcRange(s.in[r.ipIdx].vcs[r.vcIdx].phase)
@@ -528,19 +533,33 @@ func (s *Switch) TickVA(now sim.Cycle) {
 				continue
 			}
 			r := reqs[best]
-			granted[best] = true
-			vc := &s.in[r.ipIdx].vcs[r.vcIdx]
-			vc.state = vcActive
-			s.in[r.ipIdx].ready |= 1 << uint(r.vcIdx)
-			s.waiting--
-			vc.outVC = int16(ovcIdx)
-			ovc.holderPort = r.ipIdx
-			ovc.holderVC = r.vcIdx
+			reqs[best] = reqs[len(reqs)-1]
+			reqs = reqs[:len(reqs)-1]
+			s.grantVC(int(r.ipIdx), int(r.vcIdx), opIdx, ovcIdx)
 			next = keyOf(r) + 1
 		}
 		if next > 0 {
 			op.rrVA = next % s.inKeySpace()
 		}
+	}
+}
+
+// grantVC hands output VC ovcIdx of port opIdx to the waiting input VC
+// vcIdx of port ipIdx, moving it to vcActive.
+func (s *Switch) grantVC(ipIdx, vcIdx, opIdx, ovcIdx int) {
+	ip := s.in[ipIdx]
+	vc := &ip.vcs[vcIdx]
+	ovc := &s.out[opIdx].vcs[ovcIdx]
+	bit := uint64(1) << uint(vcIdx)
+	vc.state = vcActive
+	vc.outVC = int16(ovcIdx)
+	ovc.holderPort = int16(ipIdx)
+	ovc.holderVC = int16(vcIdx)
+	ip.waiting &^= bit
+	ip.ready |= bit
+	if ovc.credits == 0 {
+		// Freed by a tail whose flits still hold every downstream slot.
+		ip.stalled |= bit
 	}
 }
 
@@ -565,9 +584,9 @@ func (s *Switch) TickRC(now sim.Cycle) {
 			vc.nextHop = hop.Next
 			vc.phase = f.Phase
 			vc.state = vcWaitVC
-			vc.routedAt = now
 			ip.rcReady &^= 1 << uint(vcIdx)
-			s.waiting++
+			ip.waiting |= 1 << uint(vcIdx)
+			s.vaDirty = true
 		}
 	}
 }
@@ -589,8 +608,8 @@ func (s *Switch) CountBufferedFlits() int {
 }
 
 // CheckPipelineInvariants recomputes every incrementally maintained
-// pipeline predicate — the per-port ready/rcReady VC bitmasks, the per-port
-// and per-switch buffered counters and the waiting counter — from the
+// pipeline predicate — the per-port ready/rcReady/waiting/stalled VC
+// bitmasks, the buffered counter and the VA dirty flag — from the
 // underlying VC state machines, and reports the first drift. The masks and
 // counters are shared by the active-set and FullTick scheduling paths, so
 // the determinism suite alone cannot catch a dropped update (both paths
@@ -598,51 +617,63 @@ func (s *Switch) CountBufferedFlits() int {
 //
 //	ready[vc]   ⇔ state == vcActive && buffer nonempty (SA nominee)
 //	rcReady[vc] ⇔ state == vcIdle   && buffer nonempty (RC candidate)
-//	port.buffered   = Σ VC buffer occupancy over the port
-//	switch.buffered = Σ port.buffered
-//	switch.waiting  = #VCs in vcWaitVC state
+//	waiting[vc] ⇔ state == vcWaitVC (VA request)
+//	stalled[vc] ⇔ state == vcActive && held output VC has 0 credits
+//	switch.buffered = Σ VC buffer occupancy
+//	!vaDirty ⇒ no waiting VC has a free output VC in its class
 func (s *Switch) CheckPipelineInvariants() error {
-	total, waiting := 0, 0
+	total := 0
+	grantable := false
 	for pi, ip := range s.in {
-		var ready, rcReady uint64
-		portFlits := 0
+		var ready, rcReady, waiting, stalled uint64
 		for vi := range ip.vcs {
 			vc := &ip.vcs[vi]
 			n := vc.buf.len()
-			portFlits += n
-			if n > 0 {
-				switch vc.state {
-				case vcActive:
-					ready |= 1 << uint(vi)
-				case vcIdle:
-					rcReady |= 1 << uint(vi)
+			total += n
+			bit := uint64(1) << uint(vi)
+			switch vc.state {
+			case vcActive:
+				if n > 0 {
+					ready |= bit
+				}
+				if s.out[vc.outPort].vcs[vc.outVC].credits == 0 {
+					stalled |= bit
+				}
+			case vcIdle:
+				if n > 0 {
+					rcReady |= bit
+				}
+			case vcWaitVC:
+				waiting |= bit
+				lo, hi := s.vcRange(vc.phase)
+				for _, ovc := range s.out[vc.outPort].vcs[lo:hi] {
+					if ovc.holderPort == -1 {
+						grantable = true
+					}
 				}
 			}
-			if vc.state == vcWaitVC {
-				waiting++
+		}
+		for _, m := range []struct {
+			name      string
+			kept, rec uint64
+		}{
+			{"ready", ip.ready, ready},
+			{"rcReady", ip.rcReady, rcReady},
+			{"waiting", ip.waiting, waiting},
+			{"stalled", ip.stalled, stalled},
+		} {
+			if m.kept != m.rec {
+				return fmt.Errorf("noc: switch %d port %d %s mask %064b, recomputed %064b",
+					s.ID, pi, m.name, m.kept, m.rec)
 			}
 		}
-		if ip.ready != ready {
-			return fmt.Errorf("noc: switch %d port %d ready mask %064b, recomputed %064b",
-				s.ID, pi, ip.ready, ready)
-		}
-		if ip.rcReady != rcReady {
-			return fmt.Errorf("noc: switch %d port %d rcReady mask %064b, recomputed %064b",
-				s.ID, pi, ip.rcReady, rcReady)
-		}
-		if ip.buffered != portFlits {
-			return fmt.Errorf("noc: switch %d port %d buffered counter %d, buffers hold %d",
-				s.ID, pi, ip.buffered, portFlits)
-		}
-		total += portFlits
 	}
 	if s.buffered != total {
 		return fmt.Errorf("noc: switch %d buffered counter %d, buffers hold %d",
 			s.ID, s.buffered, total)
 	}
-	if s.waiting != waiting {
-		return fmt.Errorf("noc: switch %d waiting counter %d, %d VCs in vcWaitVC",
-			s.ID, s.waiting, waiting)
+	if grantable && !s.vaDirty {
+		return fmt.Errorf("noc: switch %d VA dirty flag clear with a grantable request pending", s.ID)
 	}
 	return nil
 }

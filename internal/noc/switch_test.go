@@ -26,7 +26,9 @@ func TestSingleFlitDelivery(t *testing.T) {
 }
 
 // TestPipelineTiming pins the per-hop timing: 3 pipeline stages per switch
-// (RC, VA, SA/ST) plus one cycle per link and NI hop.
+// (RC, VA, SA/ST) plus one cycle per link and NI hop. The RC→VA stage is a
+// cycle because every driver runs VA before RC: a head routed at cycle t
+// first requests an output VC at t+1, which TickVA relies on.
 func TestPipelineTiming(t *testing.T) {
 	p := newPipe(t, defaultPipeOpts())
 	pkt := mkPacket(1, 1)
@@ -288,35 +290,69 @@ func TestBufferedCounterMatchesBuffers(t *testing.T) {
 }
 
 // TestPipelineInvariantsHold is the recompute-style invariant check for the
-// incrementally maintained SA/RC readiness masks and waiting counter (the
+// incrementally maintained SA/RC/VA masks and the VA dirty flag (the
 // buffered counter's sibling check is TestBufferedCounterMatchesBuffers).
 // The masks are shared by the active-set and FullTick scheduling paths, so
 // the engine determinism suite cannot catch a dropped mask update — this
 // recomputation can. Traffic is shaped to cycle VCs through all three
 // wormhole states: a rate-limited link keeps packets backed up (vcWaitVC,
 // vcActive with empty and nonempty buffers) before the pipe drains back to
-// idle.
+// idle. The congested phase-split case leaves fewer output VCs than
+// injection VCs, and its 2-flit buffers sit behind a half-rate 3-cycle link
+// whose credits return slower than two flits leave, so it must also show a
+// request waiting with VA asleep and a credit-stalled VC.
 func TestPipelineInvariantsHold(t *testing.T) {
-	o := defaultPipeOpts()
-	o.linkRate = sim.RateFromFlitsPerCycle(0.5)
-	o.depth = 2
-	p := newPipe(t, o)
-	for i := 0; i < 6; i++ {
-		p.src.Offer(mkPacket(uint64(i+1), 5))
-	}
-	for cycle := 0; cycle < 200; cycle++ {
-		p.step()
-		for _, sw := range []*Switch{p.sw0, p.sw1} {
-			if err := sw.CheckPipelineInvariants(); err != nil {
-				t.Fatalf("cycle %d: %v", cycle, err)
+	congested := defaultPipeOpts()
+	congested.linkRate = sim.RateFromFlitsPerCycle(0.5)
+	congested.linkLatency = 3
+	congested.depth = 2
+	congested.phaseSplit = true
+	congested.postVCs = 1
+	for _, tc := range []struct {
+		name     string
+		o        pipeOpts
+		allSeen  bool
+		packets  int
+		maxCycle int
+	}{
+		{"half-rate", func() pipeOpts {
+			o := defaultPipeOpts()
+			o.linkRate = sim.RateFromFlitsPerCycle(0.5)
+			o.depth = 2
+			return o
+		}(), false, 6, 200},
+		{"congested-phase-split", congested, true, 12, 600},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPipe(t, tc.o)
+			for i := 0; i < tc.packets; i++ {
+				p.src.Offer(mkPacket(uint64(i+1), 5))
 			}
-		}
-	}
-	if p.sw0.BufferedFlits() != 0 || p.sw1.BufferedFlits() != 0 {
-		t.Fatal("pipe did not drain")
-	}
-	if len(p.delivered) != 6 {
-		t.Fatalf("delivered %d packets, want 6", len(p.delivered))
+			var sawWaiting, sawAsleep, sawStalled bool
+			for cycle := 0; cycle < tc.maxCycle; cycle++ {
+				p.step()
+				for _, sw := range []*Switch{p.sw0, p.sw1} {
+					if err := sw.CheckPipelineInvariants(); err != nil {
+						t.Fatalf("cycle %d: %v", cycle, err)
+					}
+					for _, ip := range sw.in {
+						sawWaiting = sawWaiting || ip.waiting != 0
+						sawAsleep = sawAsleep || (ip.waiting != 0 && !sw.vaDirty)
+						sawStalled = sawStalled || ip.stalled != 0
+					}
+				}
+			}
+			if p.sw0.BufferedFlits() != 0 || p.sw1.BufferedFlits() != 0 {
+				t.Fatal("pipe did not drain")
+			}
+			if len(p.delivered) != tc.packets {
+				t.Fatalf("delivered %d packets, want %d", len(p.delivered), tc.packets)
+			}
+			if tc.allSeen && !(sawWaiting && sawAsleep && sawStalled) {
+				t.Fatalf("states not all reached: waiting=%v waiting-with-VA-asleep=%v stalled=%v",
+					sawWaiting, sawAsleep, sawStalled)
+			}
+		})
 	}
 }
 
