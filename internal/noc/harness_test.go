@@ -11,13 +11,15 @@ import (
 //
 //	src endpoint -> sw0 -> link -> sw1 -> dst endpoint
 //
-// Endpoint 0 attaches to sw0, endpoint 1 to sw1. The link parameters are
-// configurable per test.
+// Endpoint 0 attaches to sw0, endpoint 1 to sw1; optional extra sources
+// (endpoints 2, 3, ...) attach to sw0 on ports of their own. The link
+// parameters are configurable per test.
 type pipe struct {
 	meter     *energy.Meter
 	sw0, sw1  *Switch
 	link      *Link
 	src, dst  *Endpoint
+	extra     []*Endpoint
 	delivered []*Packet
 	now       sim.Cycle
 }
@@ -31,6 +33,7 @@ type pipeOpts struct {
 	postVCs      int
 	switchPJ     float64
 	linkPJPerBit float64
+	extraSrcs    int
 }
 
 func defaultPipeOpts() pipeOpts {
@@ -81,6 +84,16 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 	p.sw1.SetInputCredit(in1b, p.dst)
 	p.sw1.SetOutputConduit(eject1, p.dst)
 
+	for i := 0; i < o.extraSrcs; i++ {
+		in := p.sw0.AddInputPort(nil)
+		eject := p.sw0.AddOutputPort(nil, o.depth)
+		ep := NewEndpoint(sim.EndpointID(2+i), p.sw0, in, eject, 1, 0, energy.ClassLinkLocal,
+			flitBits, o.queueCap, onDeliver, m)
+		p.sw0.SetInputCredit(in, ep)
+		p.sw0.SetOutputConduit(eject, ep)
+		p.extra = append(p.extra, ep)
+	}
+
 	// Forwarding: endpoint 0 local on sw0; endpoint 1 via the link from sw0,
 	// local on sw1.
 	p.sw0.SetForwarding([]PortHop{
@@ -96,16 +109,22 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 
 // step advances one cycle in the engine's phase order (link bandwidth
 // refills lazily inside the token bucket).
-func (p *pipe) step() {
-	p.sw0.TickSAST(p.now)
-	p.sw1.TickSAST(p.now)
-	p.sw0.TickVA(p.now)
-	p.sw1.TickVA(p.now)
+func (p *pipe) step() { p.stepWith((*Switch).TickSAST, (*Switch).TickVA) }
+
+// stepWith is step with the SA/ST and VA stages supplied by the caller.
+func (p *pipe) stepWith(sast, va func(*Switch, sim.Cycle)) {
+	sast(p.sw0, p.now)
+	sast(p.sw1, p.now)
+	va(p.sw0, p.now)
+	va(p.sw1, p.now)
 	p.sw0.TickRC(p.now)
 	p.sw1.TickRC(p.now)
 	p.link.Deliver(p.now)
 	p.src.Tick(p.now)
 	p.dst.Tick(p.now)
+	for _, ep := range p.extra {
+		ep.Tick(p.now)
+	}
 	p.now++
 }
 
