@@ -302,10 +302,11 @@ func TestBufferedCounterMatchesBuffers(t *testing.T) {
 // whose credits return slower than two flits leave, so it must also show a
 // request waiting with VA asleep and a credit-stalled VC.
 func TestPipelineInvariantsHold(t *testing.T) {
-	congested := defaultPipeOpts()
-	congested.linkRate = sim.RateFromFlitsPerCycle(0.5)
+	halfRate := defaultPipeOpts()
+	halfRate.linkRate = sim.RateFromFlitsPerCycle(0.5)
+	halfRate.depth = 2
+	congested := halfRate
 	congested.linkLatency = 3
-	congested.depth = 2
 	congested.phaseSplit = true
 	congested.postVCs = 1
 	for _, tc := range []struct {
@@ -315,12 +316,7 @@ func TestPipelineInvariantsHold(t *testing.T) {
 		packets  int
 		maxCycle int
 	}{
-		{"half-rate", func() pipeOpts {
-			o := defaultPipeOpts()
-			o.linkRate = sim.RateFromFlitsPerCycle(0.5)
-			o.depth = 2
-			return o
-		}(), false, 6, 200},
+		{"half-rate", halfRate, false, 6, 200},
 		{"congested-phase-split", congested, true, 12, 600},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
