@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -61,33 +62,101 @@ var determinismGolden = map[string]map[string]string{
 	},
 }
 
+// determinismTraceGolden holds, per engine.Version, the SHA-256 of the
+// Params.Trace output of the same runs as determinismGolden. A reordered
+// delivery inside a cycle can change the trace without changing any Result
+// field, so the trace is pinned separately under the same contract.
+var determinismTraceGolden = map[string]map[string]string{
+	"wimc-engine/10": {
+		"00-16C16M (Wireless)/crossbar/shards=0": "7a8ee6081c498fd03e84141a78439600655bad0bb750d8e9e19e60b4c30022bb",
+		"00-16C16M (Wireless)/crossbar/shards=2": "7a8ee6081c498fd03e84141a78439600655bad0bb750d8e9e19e60b4c30022bb",
+		"01-4C4M (Wireless)/crossbar/shards=0":   "6b4fb30042c045d93b2204132d5a403cdcc453f8f70ca5bf0b36d5aa0e120fcc",
+		"01-4C4M (Wireless)/crossbar/shards=2":   "6b4fb30042c045d93b2204132d5a403cdcc453f8f70ca5bf0b36d5aa0e120fcc",
+		"02-reads/crossbar/shards=0":             "190acff74dfc9befadbb3ceda5a94f1412148f3218e4ec8199c3c3e91ff2dfe4",
+		"02-reads/crossbar/shards=2":             "190acff74dfc9befadbb3ceda5a94f1412148f3218e4ec8199c3c3e91ff2dfe4",
+		"03-4C4M (Wireless)/exclusive/shards=0":  "00d5dc80ab643d784fde03376fdacc30deec359027af8d8a59ac71a6c4e3f36b",
+		"03-4C4M (Wireless)/exclusive/shards=2":  "00d5dc80ab643d784fde03376fdacc30deec359027af8d8a59ac71a6c4e3f36b",
+		"04-partitioned/exclusive/shards=0":      "cd3ce5029ae5b9fd9d246e9f443903058c03d05a00c063bf0b17dfb6c8aa28b7",
+		"04-partitioned/exclusive/shards=2":      "cd3ce5029ae5b9fd9d246e9f443903058c03d05a00c063bf0b17dfb6c8aa28b7",
+		"05-spatial/exclusive/shards=0":          "bd7d3ad4110f46329c99e3b6bae212f58825de5e909dabdc6d3c54dc81344ac7",
+		"05-spatial/exclusive/shards=2":          "bd7d3ad4110f46329c99e3b6bae212f58825de5e909dabdc6d3c54dc81344ac7",
+		"06-token-multi/exclusive/shards=0":      "173ba0e10a869138729b557ef4e85149404976c0ca14f5ebe7c8f779427287ca",
+		"06-token-multi/exclusive/shards=2":      "173ba0e10a869138729b557ef4e85149404976c0ca14f5ebe7c8f779427287ca",
+		"07-skip-empty/exclusive/shards=0":       "cd3ce5029ae5b9fd9d246e9f443903058c03d05a00c063bf0b17dfb6c8aa28b7",
+		"07-skip-empty/exclusive/shards=2":       "cd3ce5029ae5b9fd9d246e9f443903058c03d05a00c063bf0b17dfb6c8aa28b7",
+		"08-drain-aware/exclusive/shards=0":      "54f3d380787618d1af201b2037e64f0d7e256fb51421b62b74bc15bfef53d6a3",
+		"08-drain-aware/exclusive/shards=2":      "54f3d380787618d1af201b2037e64f0d7e256fb51421b62b74bc15bfef53d6a3",
+		"09-weighted/exclusive/shards=0":         "cd3ce5029ae5b9fd9d246e9f443903058c03d05a00c063bf0b17dfb6c8aa28b7",
+		"09-weighted/exclusive/shards=2":         "cd3ce5029ae5b9fd9d246e9f443903058c03d05a00c063bf0b17dfb6c8aa28b7",
+		"10-token-skip-empty/exclusive/shards=0": "0b5d6b8bbe637a5b558eef6baa1e58834c04b1cd23ce5fa751e983af38d33c02",
+		"10-token-skip-empty/exclusive/shards=2": "0b5d6b8bbe637a5b558eef6baa1e58834c04b1cd23ce5fa751e983af38d33c02",
+		"11-adaptive/exclusive/shards=0":         "1c366b64aa16b1af2f7b909864eb0625c4f08ef2cb2947665b23b7e3782ebb19",
+		"11-adaptive/exclusive/shards=2":         "1c366b64aa16b1af2f7b909864eb0625c4f08ef2cb2947665b23b7e3782ebb19",
+		"12-4C4M (Wireless)/crossbar/shards=0":   "e5c57b443211d52943de788685462e340eb284bf89f02e55283cea54829d5064",
+		"12-4C4M (Wireless)/crossbar/shards=2":   "e5c57b443211d52943de788685462e340eb284bf89f02e55283cea54829d5064",
+		"13-per/exclusive/shards=0":              "af5e8ecb24a0d2f9a41438f7073d422114ae4aece8ef45fa2ca791644101c000",
+		"13-per/exclusive/shards=2":              "af5e8ecb24a0d2f9a41438f7073d422114ae4aece8ef45fa2ca791644101c000",
+		"14-outage/exclusive/shards=0":           "cd3ce5029ae5b9fd9d246e9f443903058c03d05a00c063bf0b17dfb6c8aa28b7",
+		"14-outage/exclusive/shards=2":           "cd3ce5029ae5b9fd9d246e9f443903058c03d05a00c063bf0b17dfb6c8aa28b7",
+		"15-wifail/exclusive/shards=0":           "755e2395883d0332980b7d5d8f46fea16c966414632ebd8864c06a291a6028c5",
+		"15-wifail/exclusive/shards=2":           "755e2395883d0332980b7d5d8f46fea16c966414632ebd8864c06a291a6028c5",
+		"16-4C4M (Interposer)/crossbar/shards=0": "6ff164d59866fe43a644cd16c1270eb121b0fb668e0ea0f0b5823fc7e565ecf6",
+		"16-4C4M (Interposer)/crossbar/shards=2": "6ff164d59866fe43a644cd16c1270eb121b0fb668e0ea0f0b5823fc7e565ecf6",
+		"17-phased/crossbar/shards=0":            "6cec1fa36619b13785e62eab9ba02235ed32ba053313506b28561a028125623d",
+		"17-phased/crossbar/shards=2":            "6cec1fa36619b13785e62eab9ba02235ed32ba053313506b28561a028125623d",
+		"18-long-outage/exclusive/shards=0":      "2e19ff1da877034cd76b6727a7ad24cba8d8acb94744d08ab29d1292d1e392e1",
+		"18-long-outage/exclusive/shards=2":      "2e19ff1da877034cd76b6727a7ad24cba8d8acb94744d08ab29d1292d1e392e1",
+	},
+}
+
 // goldenKey names one golden run: the matrix index keeps configurations
 // that share a preset name apart.
 func goldenKey(i int, p Params, shards int) string {
 	return fmt.Sprintf("%02d-%s/%s/shards=%d", i, p.Cfg.Name, p.Cfg.Channel, shards)
 }
 
-// TestDeterminismGolden recomputes every digest and compares it with the
-// table committed under the running Version. When the Version has no table
-// the test fails and prints one to commit.
+// TestDeterminismGolden recomputes every Result and packet-trace digest and
+// compares them with the tables committed under the running Version. When
+// the Version has no table the test fails and prints one to commit.
 func TestDeterminismGolden(t *testing.T) {
 	got := map[string]string{}
+	gotTrace := map[string]string{}
 	for i, p := range determinismParams() {
 		for _, shards := range []int{0, 2} {
 			sp := p
 			sp.Cfg.EngineShards = shards
+			var trace bytes.Buffer
+			sp.Trace = &trace
 			b, err := json.Marshal(mustRun(t, sp))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := sha256.Sum256(b)
-			got[goldenKey(i, p, shards)] = hex.EncodeToString(sum[:])
+			k := goldenKey(i, p, shards)
+			if trace.Len() == 0 {
+				t.Fatalf("%s: empty packet trace", k)
+			}
+			got[k] = sha256Hex(b)
+			gotTrace[k] = sha256Hex(trace.Bytes())
 		}
 	}
-	want, ok := determinismGolden[Version]
+	checkGolden(t, "determinismGolden", "Result", determinismGolden, got)
+	checkGolden(t, "determinismTraceGolden", "packet-trace", determinismTraceGolden, gotTrace)
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkGolden compares computed digests with the table committed under the
+// running Version in golden (named table, describing what kind digests).
+func checkGolden(t *testing.T, table, kind string, golden map[string]map[string]string, got map[string]string) {
+	t.Helper()
+	want, ok := golden[Version]
 	if !ok {
-		t.Fatalf("no determinism goldens committed for %s; add this entry to determinismGolden:\n%s",
-			Version, goldenTable(got))
+		t.Errorf("no %s digests committed for %s; add this entry to %s:\n%s",
+			kind, Version, table, goldenTable(got))
+		return
 	}
 	keys := make([]string, 0, len(got))
 	for k := range got {
@@ -96,12 +165,12 @@ func TestDeterminismGolden(t *testing.T) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		if want[k] != got[k] {
-			t.Errorf("%s: Result digest %s, committed golden %q (an output change must bump engine.Version and re-commit the table)",
-				k, got[k], want[k])
+			t.Errorf("%s: %s digest %s, committed golden %q (an output change must bump engine.Version and re-commit %s)",
+				k, kind, got[k], want[k], table)
 		}
 	}
 	if len(want) != len(got) {
-		t.Errorf("committed %d goldens for %s, the matrix runs %d", len(want), Version, len(got))
+		t.Errorf("%s: committed %d goldens for %s, the matrix runs %d", table, len(want), Version, len(got))
 	}
 }
 
