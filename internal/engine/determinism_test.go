@@ -282,9 +282,9 @@ func TestActiveSetMatchesFullTick(t *testing.T) {
 // the determinism matrix — baseline meshes, multi-sub-channel MACs, the
 // work-conserving policies, adaptive routing and the fault schedules —
 // must produce byte-identical Result JSON AND a byte-identical packet
-// trace at every shard count. shards <= 1 never builds shards, so the
-// shards=1 row doubles as the proof that the knob leaves the serial
-// engine exactly as it was.
+// trace at every shard count. shards <= 1 builds the single shard that
+// owns every component (no mailboxes, no deferral), so the shards=1 row
+// doubles as the proof that the knob's 0 and 1 are the same engine.
 func TestShardCountByteIdentical(t *testing.T) {
 	for _, p := range determinismParams() {
 		p := p
@@ -301,8 +301,8 @@ func TestShardCountByteIdentical(t *testing.T) {
 				if shards > 1 && e.NumShards() < 2 {
 					t.Fatalf("engine_shards=%d built %d shards", shards, e.NumShards())
 				}
-				if shards <= 1 && e.NumShards() != 0 {
-					t.Fatalf("engine_shards=%d must stay serial, built %d shards", shards, e.NumShards())
+				if shards <= 1 && e.NumShards() != 1 {
+					t.Fatalf("engine_shards=%d must build one shard, built %d", shards, e.NumShards())
 				}
 				r, err := e.Run()
 				if err != nil {
@@ -392,13 +392,13 @@ func TestFastForwardByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardInvariantsEveryCycle steps a loaded 16-chip sharded run cycle
-// by cycle, at 2 and 4 shards, and recomputes, per shard and per cycle, the
+// TestShardInvariantsEveryCycle steps a loaded 16-chip run cycle by cycle,
+// at 1, 2 and 4 shards, and recomputes, per shard and per cycle, the
 // pipeline masks and VA dirty flag of the shard's switches and the MAC
 // protocol state of its owned wireless sub-channels (the per-shard flavor
 // of TestPipelineInvariantsEveryCycle; CheckShardInvariants only touches
 // shard-owned state, so a pass here also validates the ownership partition
-// itself).
+// itself; with one shard, shard 0 owns and checks every switch).
 func TestShardInvariantsEveryCycle(t *testing.T) {
 	cfg := config.MustXCYM(16, 8, config.ArchWireless)
 	cfg.WarmupCycles = 100
@@ -408,7 +408,7 @@ func TestShardInvariantsEveryCycle(t *testing.T) {
 	cfg.WirelessChannels = 4
 	cfg.MACPolicyMode = config.PolicySkipEmpty
 	tr := TrafficSpec{Kind: TrafficUniform, Rate: 0.01, MemFraction: 0.3, MemReadFraction: 0.5}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			sc := cfg
 			sc.EngineShards = shards
@@ -436,6 +436,39 @@ func TestShardInvariantsEveryCycle(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSerialStepDoesNotAllocate pins that a stepped serial cycle allocates
+// nothing: the per-shard phase bodies are built once, not per cycle, and
+// the one-shard replays and barrier run without scratch growth. A
+// saturated 16-chip system is warmed first so every queue and pool has
+// reached its steady-state capacity.
+func TestSerialStepDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	cfg := config.MustXCYM(16, 8, config.ArchWireless)
+	e, err := New(Params{Cfg: cfg, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 1.0, MemFraction: 0.2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.stopShards()
+	if e.NumShards() != 1 {
+		t.Fatalf("built %d shards, want 1", e.NumShards())
+	}
+	for ; e.now < 3000; e.now++ {
+		e.step()
+	}
+	if e.now+600 > e.genStop {
+		t.Fatalf("generation stops at cycle %d, inside the measured window", e.genStop)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		e.step()
+		e.now++
+	})
+	if allocs != 0 {
+		t.Fatalf("a serial step allocates %.2f times per cycle, want 0", allocs)
 	}
 }
 

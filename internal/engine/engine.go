@@ -140,14 +140,10 @@ type Engine struct {
 	replySeq     uint64
 	retryScratch []pendingReply
 
-	// Active-set scheduling (see step): a component is ticked only while
-	// the corresponding predicate says ticking could do work. fullTick
-	// forces the reference everything-every-cycle path.
-	swActive   *sim.ActiveSet
-	linkActive *sim.ActiveSet
-	epActive   *sim.ActiveSet
-	fullTick   bool
-	legacyMAC  bool
+	// fullTick swaps step for the tickAll reference loop, which ticks
+	// everything every cycle instead of the shards' active sets.
+	fullTick  bool
+	legacyMAC bool
 
 	// Event-horizon fast-forward (see Run): everyCycle disables it (the
 	// reference path; fullTick implies it), idleSkipped counts the cycles
@@ -162,17 +158,17 @@ type Engine struct {
 	// pool recycles delivered packets back into traffic generation.
 	pool noc.PacketPool
 
-	// Sharded execution (see shard.go; all nil/empty when serial): the
-	// row-band shards, per-component shard assignment, the recorded link
-	// endpoints (for boundary classification), the persistent worker
-	// barrier, and reusable merge scratch for the serial replay phases.
-	shards       []*shard
-	swShard      []int
-	epShard      []int
-	linkEnds     [][2]sim.SwitchID
-	barrier      *shardBarrier
-	opScratch    []core.ShardOp
-	eventScratch []epEvent
+	// Sharded execution (see shard.go): the row-band shards (one when
+	// serial), the recorded link endpoints (for boundary classification),
+	// the persistent worker barrier, the two per-shard phase bodies step
+	// hands it, and reusable merge scratch for the serial replay phases.
+	shards        []*shard
+	linkEnds      [][2]sim.SwitchID
+	barrier       *shardBarrier
+	tickPipeline  func(int)
+	tickEndpoints func(int)
+	opScratch     []core.ShardOp
+	eventScratch  []epEvent
 
 	trace    io.Writer
 	traceErr error
@@ -308,7 +304,7 @@ func New(p Params) (*Engine, error) {
 	if err := e.buildTraffic(p.Traffic); err != nil {
 		return nil, err
 	}
-	e.buildShards(p)
+	e.buildShards()
 	return e, nil
 }
 
@@ -316,10 +312,10 @@ func New(p Params) (*Engine, error) {
 // release, DRAM read-reply scheduling, trace emission, pool recycling. A
 // delivered read request is kept until its data reply is issued; a Faulted
 // read request lost its payload crossing a failed transceiver, so the DRAM
-// channel never sees it and no reply is scheduled. Serial-phase only: the
-// sharded engine's endpoints defer their delivered hooks into per-shard
-// event logs that replay through here at the cycle's synchronization
-// point.
+// channel never sees it and no reply is scheduled. Serial-phase only: with
+// more than one shard, endpoints defer their delivered hooks into
+// per-shard event logs that replay through here at the cycle's
+// synchronization point.
 func (e *Engine) deliverPacket(now sim.Cycle, p *noc.Packet) {
 	e.coll.OnDelivered(now, p)
 	if e.wd != nil {
@@ -394,8 +390,8 @@ func (e *Engine) build() error {
 	}
 
 	// Endpoints. Each NI reports deliveries through e.deliverPacket
-	// (directly when serial; through the per-shard event logs when
-	// sharded — see shard.go).
+	// (directly with one shard; through the per-shard event logs with
+	// more — see shard.go).
 	e.endpoints = make([]*noc.Endpoint, g.EndpointCount())
 	localOut := make([]int, g.EndpointCount())
 	for i, ep := range g.Endpoints {
@@ -502,24 +498,6 @@ func (e *Engine) build() error {
 		e.world.CoreGY = append(e.world.CoreGY, node.GY)
 	}
 	e.world.MemChannels = append(e.world.MemChannels, g.MemChannels...)
-
-	// Activity sets: every component registers itself on the events that
-	// give it work (flit arrival, credit in flight, packet offered), and
-	// the cycle loop visits members only. Iteration is in ascending index
-	// order, so an active sweep is a strict subsequence of the full sweep
-	// and results are cycle-identical to ticking everything.
-	e.swActive = sim.NewActiveSet(len(e.switches))
-	for i, sw := range e.switches {
-		sw.SetActivity(e.swActive, i)
-	}
-	e.linkActive = sim.NewActiveSet(len(e.links))
-	for i, l := range e.links {
-		l.SetActivity(e.linkActive, i)
-	}
-	e.epActive = sim.NewActiveSet(len(e.endpoints))
-	for i, ep := range e.endpoints {
-		ep.SetActivity(e.epActive, i)
-	}
 	return nil
 }
 

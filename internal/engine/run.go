@@ -163,105 +163,92 @@ func (e *Engine) Run() (*Result, error) {
 	return e.results()
 }
 
-// step advances the system by one cycle. Phase order (DESIGN.md):
-// wireless launch → SA/ST → VA → RC → link/wireless delivery → endpoint NI
-// tick → traffic generation. (Link bandwidth refills lazily inside the
-// token buckets, so the former refill phase is gone.)
+// step advances the system by one cycle through the shards — one shard
+// when serial (see shard.go). The phases are the same at every shard
+// count:
 //
-// Active-set scheduling: only components whose activity predicate holds are
-// ticked. A switch with no buffered flits, a link with nothing in flight
-// and a drained endpoint are provable no-ops, and the sets iterate in
-// ascending index order, so the schedule is cycle-identical to the
-// FullTick reference path — same seed, byte-identical Result.
+//   - S0 (serial): scheduled fault events, the watchdog, wireless launch.
+//   - P1 (per shard): boundary mailbox drains, SA/ST → VA → RC sweeps,
+//     link delivery.
+//   - S1 (serial): replay of deferred fabric ops, wireless delivery.
+//   - P2 (per shard): endpoint NI ticks.
+//   - S2 (serial): replay of deferred NI events, DRAM read replies,
+//     traffic generation.
+//
+// Only members of a shard's activity sets are ticked: a switch with no
+// buffered flits, a link with nothing in flight and a drained endpoint are
+// provable no-ops, and the sets iterate in ascending index order, so the
+// schedule is cycle-identical to tickAll, the FullTick reference loop —
+// same seed, byte-identical Result.
 func (e *Engine) step() {
-	if len(e.shards) > 0 {
-		e.stepSharded()
+	if e.fullTick {
+		e.tickAll()
 		return
 	}
 	now := e.now
+	if e.barrier == nil {
+		e.barrier = newShardBarrier(len(e.shards))
+	}
 	if e.wd != nil {
 		// Fault model active: fire scheduled fault events before the MAC
 		// arbitrates, and check the liveness invariant every cycle.
 		e.fabric.ApplyFaults(now)
 		e.wd.check(now)
 	}
-	if e.fabric != nil && (e.fullTick || e.fabric.LaunchNeeded()) {
+	if e.fabric != nil {
+		if e.fabric.LaunchNeeded() {
+			e.fabric.Launch(now)
+		}
+		// Concurrent shards defer fabric-global writes to S1; a lone shard
+		// makes them in place.
+		e.fabric.SetDeferred(len(e.shards) > 1)
+	}
+	e.barrier.run(e.tickPipeline)
+	if e.fabric != nil {
+		e.fabric.SetDeferred(false)
+		e.replayFabricOps(now)
+		if e.fabric.HasPending() {
+			e.fabric.Deliver(now)
+		}
+	}
+	e.barrier.run(e.tickEndpoints)
+	e.replayEndpointEvents(now)
+	e.issueReplies(now)
+	if now < e.genStop {
+		e.generate(now)
+	}
+}
+
+// tickAll is the FullTick reference loop: one cycle in step's phase order
+// that ticks every switch, link and endpoint and runs the fabric's launch
+// and delivery unconditionally, ignoring the activity sets. FullTick
+// always builds one shard, so nothing defers.
+func (e *Engine) tickAll() {
+	now := e.now
+	if e.wd != nil {
+		e.fabric.ApplyFaults(now)
+		e.wd.check(now)
+	}
+	if e.fabric != nil {
 		e.fabric.Launch(now)
 	}
-	if e.fullTick {
-		for _, s := range e.switches {
-			s.TickSAST(now)
-		}
-		for _, s := range e.switches {
-			s.TickVA(now)
-		}
-		for _, s := range e.switches {
-			s.TickRC(now)
-		}
-		for _, l := range e.links {
-			l.Deliver(now)
-		}
-	} else {
-		// No switch joins or leaves the set during the three pipeline
-		// phases (traversed flits land in link/WI/endpoint queues, never
-		// directly in another switch), so the three sweeps see identical
-		// membership.
-		for it := e.swActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			e.switches[i].TickSAST(now)
-		}
-		for it := e.swActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			e.switches[i].TickVA(now)
-		}
-		for it := e.swActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			s := e.switches[i]
-			s.TickRC(now)
-			if s.BufferedFlits() == 0 {
-				e.swActive.Remove(i)
-			}
-		}
-		for it := e.linkActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			l := e.links[i]
-			l.Deliver(now)
-			if !l.Busy() {
-				e.linkActive.Remove(i)
-			}
-		}
+	for _, s := range e.switches {
+		s.TickSAST(now)
 	}
-	if e.fabric != nil && (e.fullTick || e.fabric.HasPending()) {
+	for _, s := range e.switches {
+		s.TickVA(now)
+	}
+	for _, s := range e.switches {
+		s.TickRC(now)
+	}
+	for _, l := range e.links {
+		l.Deliver(now)
+	}
+	if e.fabric != nil {
 		e.fabric.Deliver(now)
 	}
-	if e.fullTick {
-		for _, ep := range e.endpoints {
-			ep.Tick(now)
-		}
-	} else {
-		for it := e.epActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			ep := e.endpoints[i]
-			ep.Tick(now)
-			if ep.Drained() {
-				e.epActive.Remove(i)
-			}
-		}
+	for _, ep := range e.endpoints {
+		ep.Tick(now)
 	}
 	e.issueReplies(now)
 	if now < e.genStop {
@@ -269,19 +256,15 @@ func (e *Engine) step() {
 	}
 }
 
-// quiescent reports whether the network is provably inert: no switch,
-// link or endpoint has work (the active sets are empty) and — when
-// sharded — every boundary link is quiet, including its mailbox parity
-// buffers (boundary links live outside the per-shard active sets). With
-// quiescent true, a step can only act through the horizon sources: fabric
-// launch/delivery, scheduled fault events, due DRAM replies, traffic
-// generation and the watchdog. The probe runs at the serial point after
-// step returns (post-barrier when sharded), so every shard trivially
-// agrees on it — and on the horizon computed from it.
+// quiescent reports whether the network is provably inert: every shard's
+// activity sets are empty and every boundary link is quiet, including its
+// mailbox parity buffers (boundary links live outside the per-shard active
+// sets). With quiescent true, a step can only act through the horizon
+// sources: fabric launch/delivery, scheduled fault events, due DRAM
+// replies, traffic generation and the watchdog. The probe runs at the
+// serial point after step returns, so every shard trivially agrees on it —
+// and on the horizon computed from it.
 func (e *Engine) quiescent() bool {
-	if len(e.shards) == 0 {
-		return e.swActive.Empty() && e.linkActive.Empty() && e.epActive.Empty()
-	}
 	for _, s := range e.shards {
 		if !s.swActive.Empty() || !s.linkActive.Empty() || !s.epActive.Empty() {
 			return false
