@@ -102,6 +102,7 @@ func BenchmarkExtensionScaleSweep(b *testing.B) { benchFigure(b, "scale") }
 func BenchmarkSystemConstruction(b *testing.B) {
 	cfg := wimc.MustXCYM(8, 4, wimc.ArchWireless)
 	traffic := wimc.TrafficSpec{Kind: wimc.TrafficUniform, Rate: 0.001, MemFraction: 0.2}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := wimc.New(cfg, traffic); err != nil {
 			b.Fatal(err)
@@ -115,6 +116,7 @@ func BenchmarkSystemConstruction(b *testing.B) {
 func BenchmarkLargeSystemConstruction(b *testing.B) {
 	cfg := wimc.MustXCYM(64, 64, wimc.ArchWireless)
 	traffic := wimc.TrafficSpec{Kind: wimc.TrafficUniform, Rate: 0.001, MemFraction: 0.2}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := wimc.New(cfg, traffic); err != nil {
 			b.Fatal(err)
