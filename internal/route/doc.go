@@ -30,8 +30,8 @@
 //     byte-identical to the single table Build produces, so the default
 //     remains exactly the pre-class behavior.
 //
-//   - ClassWiredOnly (class 1): shortest paths over the wired subgraph only
-//     (arcs whose topo.FabricClass is FabricWired). On a hybrid this is the
+//   - ClassWiredOnly (class 1): shortest paths over the wired edges only
+//     (the wireless full graph left out). On a hybrid this is the
 //     interposer underlay; distant traffic that class 0 sends over one
 //     wireless hop instead walks the wires.
 //

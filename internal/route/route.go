@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"wimc/internal/config"
@@ -21,20 +22,19 @@ type Tables struct {
 	Dist [][]int32
 	// Root is the tree root in RouteTree mode, or sim.NoSwitch.
 	Root sim.SwitchID
-	// Wireless[u][v] reports whether the hop u->v is a wireless hop.
-	wireless map[[2]sim.SwitchID]bool
+	// wi[s] is the index of the WI hosted on switch s, or -1. It is nil
+	// when the table routes no wireless hop (wired architectures and the
+	// wired-only class).
+	wi []int32
 	// workers bounds the pool used while the tables are built.
 	workers int
 }
 
-// arc is one directed adjacency used by the router computation, tagged
-// with the fabric class of its technology (wired edges vs the synthesized
-// wireless full graph) so class-restricted tables can filter by it.
+// arc is one directed adjacency used by the router computation.
 type arc struct {
 	to     sim.SwitchID
 	weight int32
-	rank   int // tie-break priority: lower is preferred
-	fabric topo.FabricClass
+	rank   int32 // tie-break priority: lower is preferred
 }
 
 // Tie-break ranks.
@@ -46,9 +46,9 @@ const (
 )
 
 // Build computes forwarding tables for the graph using its configuration,
-// fanning per-destination table fills across runtime.GOMAXPROCS(0) workers
-// (tables are byte-identical to a sequential build: every destination's
-// column is computed independently and written to disjoint entries).
+// fanning table fills across runtime.GOMAXPROCS(0) workers (tables are
+// byte-identical to a sequential build: every destination's column is
+// computed independently and written to disjoint entries).
 func Build(g *topo.Graph) (*Tables, error) {
 	return BuildWorkers(g, 0)
 }
@@ -63,10 +63,6 @@ func BuildWorkers(g *topo.Graph, workers int) (*Tables, error) {
 // whether the wireless full graph joins the adjacency (true reproduces
 // Build exactly); false yields the wired-only class table of a hybrid.
 func buildSingle(g *topo.Graph, workers int, includeWireless bool) (*Tables, error) {
-	adj, wmap, err := adjacency(g, includeWireless)
-	if err != nil {
-		return nil, err
-	}
 	// Memory logic dies are endpoints, not routers: paths may start or end
 	// there but never pass through (their wide-I/O spurs would otherwise
 	// become mesh shortcuts).
@@ -75,22 +71,38 @@ func buildSingle(g *topo.Graph, workers int, includeWireless bool) (*Tables, err
 		transit[i] = n.Kind != topo.KindMemLogic
 	}
 	t := &Tables{
-		Mode:     g.Cfg.Routing,
-		Root:     sim.NoSwitch,
-		wireless: wmap,
-		workers:  workers,
+		Mode:    g.Cfg.Routing,
+		Root:    sim.NoSwitch,
+		workers: workers,
 	}
+	var wis []sim.SwitchID // WI switches joined by the wireless full graph
+	if includeWireless && g.HasWireless() {
+		t.wi = make([]int32, g.SwitchCount())
+		for i := range t.wi {
+			t.wi[i] = -1
+		}
+		for i, s := range g.WISwitches {
+			t.wi[s] = int32(i)
+		}
+		wis = append(wis, g.WISwitches...)
+		slices.Sort(wis)
+	}
+	ww := int32(g.Cfg.WirelessHopWeight)
+	if ww < 1 {
+		ww = 1
+	}
+	var err error
 	switch g.Cfg.Routing {
 	case config.RouteShortest:
 		if g.Cfg.Arch == config.ArchSubstrate {
 			// Single serial links around the chip ring deadlock under
 			// unrestricted minimal routing; use chip-level dimension order.
-			err = t.buildSubstrateHier(g, adj)
+			err = t.buildSubstrateHier(g, adjacency(g, nil, 0))
 		} else {
-			err = t.buildShortest(g, adj, transit)
+			err = t.buildShortest(g, adjacency(g, nil, 0), transit, wis, ww)
 		}
 	case config.RouteTree:
-		err = t.buildTree(g, adj, transit)
+		err = t.buildTree(g, adjacency(g, wis, ww), transit)
 	default:
 		err = fmt.Errorf("route: unknown routing mode %q", g.Cfg.Routing)
 	}
@@ -102,7 +114,7 @@ func buildSingle(g *topo.Graph, workers int, includeWireless bool) (*Tables, err
 
 // IsWireless reports whether the hop from u to v crosses the wireless fabric.
 func (t *Tables) IsWireless(u, v sim.SwitchID) bool {
-	return t.wireless[[2]sim.SwitchID{u, v}]
+	return t.wi != nil && u != v && t.wi[u] >= 0 && t.wi[v] >= 0
 }
 
 // Path returns the switch sequence from s to d (inclusive).
@@ -132,18 +144,30 @@ func (t *Tables) HopCount(s, d sim.SwitchID) int {
 	return len(p) - 1
 }
 
-// adjacency constructs directed arcs from the wired edges plus (when
-// includeWireless) the wireless full graph among WI switches. Arc order is
-// independent of the flag for the arcs both variants share, so the wired
-// subgraph of the full adjacency is exactly the wired-only adjacency.
-func adjacency(g *topo.Graph, includeWireless bool) ([][]arc, map[[2]sim.SwitchID]bool, error) {
+// adjacency constructs the directed arcs of the wired edges, each
+// switch's in tie-break order (rank, then target ID). When wis (ascending)
+// is non-empty, every WI switch also gets an arc of weight ww to every
+// other WI — the wireless full graph — after its wired arcs: wireless
+// ranks last, so this is the same order a sort over all arcs would give.
+// All switches' arcs share one backing array.
+func adjacency(g *topo.Graph, wis []sim.SwitchID, ww int32) [][]arc {
 	n := g.SwitchCount()
+	deg := make([]int, n)
+	for _, e := range g.Edges {
+		deg[e.A]++
+		deg[e.B]++
+	}
+	for _, s := range wis {
+		deg[s] += len(wis) - 1
+	}
 	adj := make([][]arc, n)
-	addDirected := func(a, b sim.SwitchID, w int32, rank int, fc topo.FabricClass) {
-		adj[a] = append(adj[a], arc{to: b, weight: w, rank: rank, fabric: fc})
+	flat := make([]arc, 0, 2*len(g.Edges)+len(wis)*len(wis))
+	for s := range adj {
+		adj[s] = flat[len(flat) : len(flat) : len(flat)+deg[s]]
+		flat = flat[:len(flat)+deg[s]]
 	}
 	for _, e := range g.Edges {
-		var rank int
+		rank := int32(rankIO)
 		switch e.Kind {
 		case topo.EdgeMesh, topo.EdgeInterposer:
 			if g.Nodes[e.A].GY == g.Nodes[e.B].GY {
@@ -151,33 +175,14 @@ func adjacency(g *topo.Graph, includeWireless bool) ([][]arc, map[[2]sim.SwitchI
 			} else {
 				rank = rankVertical
 			}
-		default:
-			rank = rankIO
 		}
 		w := int32(e.Latency)
 		if w < 1 {
 			w = 1
 		}
-		addDirected(e.A, e.B, w, rank, e.Kind.Fabric())
-		addDirected(e.B, e.A, w, rank, e.Kind.Fabric())
+		adj[e.A] = append(adj[e.A], arc{to: e.B, weight: w, rank: rank})
+		adj[e.B] = append(adj[e.B], arc{to: e.A, weight: w, rank: rank})
 	}
-	wmap := make(map[[2]sim.SwitchID]bool, len(g.WISwitches)*len(g.WISwitches))
-	if includeWireless {
-		ww := int32(g.Cfg.WirelessHopWeight)
-		if ww < 1 {
-			ww = 1
-		}
-		for i, a := range g.WISwitches {
-			for j, b := range g.WISwitches {
-				if i == j {
-					continue
-				}
-				addDirected(a, b, ww, rankWireless, topo.FabricWireless)
-				wmap[[2]sim.SwitchID{a, b}] = true
-			}
-		}
-	}
-	// Deterministic neighbor order: tie-break rank, then target ID.
 	for s := range adj {
 		as := adj[s]
 		sort.Slice(as, func(i, j int) bool {
@@ -187,39 +192,113 @@ func adjacency(g *topo.Graph, includeWireless bool) ([][]arc, map[[2]sim.SwitchI
 			return as[i].to < as[j].to
 		})
 	}
-	return adj, wmap, nil
+	for _, a := range wis {
+		for _, b := range wis {
+			if b != a {
+				adj[a] = append(adj[a], arc{to: b, weight: ww, rank: rankWireless})
+			}
+		}
+	}
+	return adj
 }
 
+// destBlock is the number of destinations one buildShortest work item
+// covers: its rows segments Next[s][d0:d0+destBlock] are contiguous.
+const destBlock = 64
+
 // buildShortest fills the tables with per-source shortest paths: for every
-// destination d a reverse Dijkstra yields dist(·, d); the next hop from s is
-// the first neighbor (in tie-break order) on a shortest path. Destinations
-// are independent — each fills only its own column of Next/Dist — so they
-// fan out across the worker pool; the tables are identical for any worker
-// count.
-func (t *Tables) buildShortest(g *topo.Graph, adj [][]arc, transit []bool) error {
+// destination d a reverse single-source search yields dist(·, d); the next
+// hop from s is the first arc (in tie-break order: wired arcs, then the
+// wireless arcs by ascending target) on a shortest path. adj holds only the
+// wired arcs; wis (ascending) are the WI switches of the wireless full
+// graph, every pair one hop of weight ww.
+//
+// Destinations are processed in blocks of destBlock per worker-pool item.
+// A block runs its searches one destination at a time, scattering each
+// distance vector into its column of Dist, then fills Next row segment by
+// row segment; blocks write disjoint columns, so the tables are identical
+// for any worker count.
+func (t *Tables) buildShortest(g *topo.Graph, adj [][]arc, transit []bool, wis []sim.SwitchID, ww int32) error {
 	n := g.SwitchCount()
 	t.Next = newTable(n, sim.NoSwitch)
 	t.Dist = newDist(n)
-	_, err := pool.ForEach(t.workers, n, func(d int) error {
-		dist := dijkstra(adj, sim.SwitchID(d), transit)
-		for s := 0; s < n; s++ {
-			t.Dist[s][d] = dist[s]
-			if s == d {
-				t.Next[s][d] = sim.SwitchID(d)
-				continue
-			}
-			if dist[s] == unreachable {
-				return fmt.Errorf("route: switch %d cannot reach switch %d", s, d)
-			}
-			for _, a := range adj[s] {
-				if dist[a.to] != unreachable && dist[a.to]+a.weight == dist[s] {
-					t.Next[s][d] = a.to
+	maxW := int32(1)
+	if len(wis) > 0 {
+		maxW = ww
+	}
+	for _, as := range adj {
+		for _, a := range as {
+			maxW = max(maxW, a.weight)
+		}
+	}
+	blocks := (n + destBlock - 1) / destBlock
+	_, err := pool.ForEach(t.workers, blocks, func(b int) error {
+		d0, d1 := b*destBlock, min((b+1)*destBlock, n)
+		sp := newSearch(n, maxW)
+		// star[k] is the distance of the first WI the search toward d0+k
+		// expanded (-1: none), via[k] the lowest-ID WI at that distance.
+		var star [destBlock]int32
+		var via [destBlock]sim.SwitchID
+		for d := d0; d < d1; d++ {
+			star[d-d0] = sp.run(sim.SwitchID(d), adj, transit, t.wi, wis, ww)
+			via[d-d0] = sim.NoSwitch
+			for _, w := range wis {
+				if sp.dist[w] == star[d-d0] {
+					via[d-d0] = w
 					break
 				}
 			}
-			if t.Next[s][d] == sim.NoSwitch {
-				return fmt.Errorf("route: no next hop from %d to %d", s, d)
+			for s, ds := range sp.dist {
+				t.Dist[s][d] = ds
 			}
+		}
+		// failAt[k] is the first source whose route toward d0+k failed;
+		// the lowest failing destination's first failing source is the
+		// error a per-destination fill would have reported.
+		var failAt [destBlock]int
+		for k := range failAt {
+			failAt[k] = -1
+		}
+		for s := 0; s < n; s++ {
+			next := t.Next[s][d0:d1]
+			for k, ds := range t.Dist[s][d0:d1] {
+				d := d0 + k
+				if s == d {
+					next[k] = sim.SwitchID(d)
+					continue
+				}
+				if ds == unreachable {
+					if failAt[k] < 0 {
+						failAt[k] = s
+					}
+					continue
+				}
+				for _, a := range adj[s] {
+					if da := t.Dist[a.to][d]; da != unreachable && da+a.weight == ds {
+						next[k] = a.to
+						break
+					}
+				}
+				// A reachable switch with no wired arc on a shortest path
+				// got its distance from the one wireless relaxation (see
+				// search.run): ds = star + ww, and the first wireless arc
+				// on a shortest path leads to the lowest-ID WI at star.
+				if next[k] == sim.NoSwitch && t.wi != nil && t.wi[s] >= 0 && star[k] >= 0 && ds-ww == star[k] {
+					next[k] = via[k]
+				}
+				if next[k] == sim.NoSwitch && failAt[k] < 0 {
+					failAt[k] = s
+				}
+			}
+		}
+		for k, s := range failAt {
+			if s < 0 {
+				continue
+			}
+			if t.Dist[s][d0+k] == unreachable {
+				return fmt.Errorf("route: switch %d cannot reach switch %d", s, d0+k)
+			}
+			return fmt.Errorf("route: no next hop from %d to %d", s, d0+k)
 		}
 		return nil
 	})
@@ -293,34 +372,96 @@ func lca(a, b sim.SwitchID, parent []sim.SwitchID, depth []int32,
 
 const unreachable = int32(math.MaxInt32 / 4)
 
-// dijkstra returns shortest distances from src over the directed arcs.
-// Nodes with transit[i] == false are only expanded at the source (they are
-// endpoints, never intermediate hops).
-func dijkstra(adj [][]arc, src sim.SwitchID, transit []bool) []int32 {
-	n := len(adj)
-	dist := make([]int32, n)
+// dialMaxWeight bounds the arc weight the bucket queue serves; heavier
+// arcs (far beyond any preset's) fall back to a binary heap.
+const dialMaxWeight = 256
+
+// search is the scratch of one single-source shortest-path search: the
+// distance vector and a priority queue. Arc weights are small positive
+// integers, so the queue is a Dial bucket queue — maxW+1 circular buckets
+// indexed by distance — unless maxW exceeds dialMaxWeight.
+type search struct {
+	dist    []int32
+	buckets [][]sim.SwitchID // nil selects heap
+	heap    distHeap
+}
+
+func newSearch(n int, maxW int32) *search {
+	sp := &search{dist: make([]int32, n)}
+	if maxW <= dialMaxWeight {
+		sp.buckets = make([][]sim.SwitchID, maxW+1)
+	}
+	return sp
+}
+
+// run fills sp.dist with shortest distances from src over the wired arcs
+// adj plus the wireless full graph among wis (ascending; wi[s] >= 0 marks
+// them). Nodes with transit[i] == false are only expanded at the source
+// (they are endpoints, never intermediate hops). It returns the distance
+// of the first WI expanded, or -1 if none was.
+//
+// Only that first WI relaxes its wireless arcs: every WI expanded later is
+// at least as far from src, so its arcs, all of weight ww, cannot shorten
+// any distance.
+func (sp *search) run(src sim.SwitchID, adj [][]arc, transit []bool, wi []int32, wis []sim.SwitchID, ww int32) int32 {
+	dist := sp.dist
 	for i := range dist {
 		dist[i] = unreachable
 	}
-	dist[src] = 0
-	pq := &distHeap{{node: src, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.dist > dist[it.node] {
-			continue
+	star := int32(-1)
+	pending := 0
+	push := func(v sim.SwitchID, d int32) {
+		dist[v] = d
+		pending++
+		if sp.buckets == nil {
+			heap.Push(&sp.heap, distItem{node: v, dist: d})
+		} else {
+			b := &sp.buckets[int(d)%len(sp.buckets)]
+			*b = append(*b, v)
 		}
-		if it.node != src && !transit[it.node] {
-			continue
+	}
+	expand := func(u sim.SwitchID, du int32) {
+		if u != src && !transit[u] {
+			return
 		}
-		for _, a := range adj[it.node] {
-			nd := it.dist + a.weight
-			if nd < dist[a.to] {
-				dist[a.to] = nd
-				heap.Push(pq, distItem{node: a.to, dist: nd})
+		for _, a := range adj[u] {
+			if nd := du + a.weight; nd < dist[a.to] {
+				push(a.to, nd)
+			}
+		}
+		if star < 0 && wi != nil && wi[u] >= 0 {
+			star = du
+			for _, v := range wis {
+				if nd := du + ww; nd < dist[v] {
+					push(v, nd)
+				}
 			}
 		}
 	}
-	return dist
+	push(src, 0)
+	if sp.buckets == nil {
+		for sp.heap.Len() > 0 {
+			it := heap.Pop(&sp.heap).(distItem)
+			if it.dist == dist[it.node] {
+				expand(it.node, it.dist)
+			}
+		}
+		return star
+	}
+	// Every queued distance lies in [cur, cur+maxW], so bucket cur mod
+	// len(buckets) holds exactly the entries queued at distance cur; an
+	// entry whose node has since been queued closer is stale.
+	for cur := int32(0); pending > 0; cur++ {
+		b := &sp.buckets[int(cur)%len(sp.buckets)]
+		for i := 0; i < len(*b); i++ {
+			if u := (*b)[i]; dist[u] == cur {
+				expand(u, cur)
+			}
+		}
+		pending -= len(*b)
+		*b = (*b)[:0]
+	}
+	return star
 }
 
 // spTree grows a shortest-path tree from root, returning parent pointers,

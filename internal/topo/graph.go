@@ -42,31 +42,6 @@ type Node struct {
 	WI    int // wireless interface index, or -1
 }
 
-// FabricClass partitions link technologies into the routing fabrics the
-// multi-class router distinguishes: every Edge of the graph is wired;
-// wireless single-hop adjacencies (WI pair arcs) exist only in the routing
-// layer, which tags them FabricWireless. Hybrid packages route per class —
-// a wired-only table never traverses a FabricWireless arc.
-type FabricClass uint8
-
-// Fabric classes.
-const (
-	FabricWired FabricClass = iota
-	FabricWireless
-)
-
-// String returns the fabric class name.
-func (c FabricClass) String() string {
-	switch c {
-	case FabricWired:
-		return "wired"
-	case FabricWireless:
-		return "wireless"
-	default:
-		return fmt.Sprintf("fabric(%d)", int(c))
-	}
-}
-
 // EdgeKind identifies the physical technology of a wired edge.
 type EdgeKind int
 
@@ -93,12 +68,6 @@ func (k EdgeKind) String() string {
 		return fmt.Sprintf("edge(%d)", int(k))
 	}
 }
-
-// Fabric returns the fabric class of the edge technology. Every EdgeKind
-// is a wired technology (mesh, interposer, serial, wide-I/O); the wireless
-// fabric has no Edge records — its single-hop adjacencies are synthesized
-// by the routing layer over Graph.WISwitches.
-func (k EdgeKind) Fabric() FabricClass { return FabricWired }
 
 // Edge is an undirected wired connection between two switches; the engine
 // realizes it as a pair of directed links.
