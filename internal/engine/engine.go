@@ -109,9 +109,10 @@ type Engine struct {
 	// wd is the liveness watchdog, non-nil exactly while the fault model
 	// is active (it doubles as the engine's faults-active flag).
 	wd *watchdog
-	// outToward maps a switch to the wired output port feeding each
-	// neighbor (kept from build for the selector's wired-headroom probe).
-	outToward map[sim.SwitchID]map[sim.SwitchID]int
+	// wiredOut[s] lists the wired output ports of switch s with the
+	// neighbor each feeds (kept from build for the selector's
+	// wired-headroom probe); see portToward.
+	wiredOut [][]wiredPort
 	// classPackets counts packets classified at injection per route class
 	// (reported for adaptive runs).
 	classPackets [route.NumClasses]int64
@@ -172,6 +173,26 @@ type Engine struct {
 
 	trace    io.Writer
 	traceErr error
+}
+
+// wiredPort is one wired output port and the switch it feeds.
+type wiredPort struct {
+	to   sim.SwitchID
+	port int
+}
+
+// portToward returns the wired output port of switch s feeding next. A
+// switch has a handful of wired ports, so a scan beats any map; it runs
+// backwards so that, were two edges to join the same pair, the port wired
+// last would win, as it did when a map was overwritten.
+func (e *Engine) portToward(s, next sim.SwitchID) (int, bool) {
+	ps := e.wiredOut[s]
+	for i := len(ps) - 1; i >= 0; i-- {
+		if ps[i].to == next {
+			return ps[i].port, true
+		}
+	}
+	return 0, false
 }
 
 // pendingReply is a DRAM data response awaiting issue.
@@ -354,10 +375,17 @@ func (e *Engine) build() error {
 		e.switches[i] = sw
 	}
 
-	// Wired links: two directed links per topology edge.
-	outToward := make(map[sim.SwitchID]map[sim.SwitchID]int, g.SwitchCount())
-	for i := range e.switches {
-		outToward[sim.SwitchID(i)] = make(map[sim.SwitchID]int, 5)
+	// Wired links: two directed links per topology edge. Each switch's
+	// wiredOut list is a window of one backing array.
+	deg := make([]int, g.SwitchCount())
+	for _, ed := range g.Edges {
+		deg[ed.A]++
+		deg[ed.B]++
+	}
+	e.wiredOut = make([][]wiredPort, g.SwitchCount())
+	flat := make([]wiredPort, 2*len(g.Edges))
+	for i, d := range deg {
+		e.wiredOut[i], flat = flat[:0:d], flat[d:]
 	}
 	addDirected := func(a, b sim.SwitchID, ed topo.Edge) {
 		l := noc.NewLink(classOf(ed.Kind), ed.Latency, ed.Rate, ed.PJPerBit,
@@ -366,7 +394,7 @@ func (e *Engine) build() error {
 		outP := src.AddOutputPort(l, cfg.BufferDepth)
 		inP := dst.AddInputPort(l)
 		l.Connect(src, outP, dst, inP)
-		outToward[a][b] = outP
+		e.wiredOut[a] = append(e.wiredOut[a], wiredPort{to: b, port: outP})
 		e.links = append(e.links, l)
 		e.linkEnds = append(e.linkEnds, [2]sim.SwitchID{a, b})
 	}
@@ -375,8 +403,12 @@ func (e *Engine) build() error {
 		addDirected(ed.B, ed.A, ed)
 	}
 
-	// Wireless fabric.
-	wiOutPort := make(map[sim.SwitchID]int, len(g.WISwitches))
+	// Wireless fabric. wiOutPort[s] is the output port of the WI on
+	// switch s, -1 if it hosts none.
+	wiOutPort := make([]int, g.SwitchCount())
+	for i := range wiOutPort {
+		wiOutPort[i] = -1
+	}
 	if g.HasWireless() {
 		e.fabric = core.NewFabric(cfg, e.meter, e.rng.Derive("wireless"))
 		if e.legacyMAC {
@@ -430,11 +462,11 @@ func (e *Engine) build() error {
 				if next == sim.NoSwitch {
 					return fmt.Errorf("engine: class %d: no route from switch %d to endpoint %d", ci, s, ep.ID)
 				}
-				if p, ok := outToward[s][next]; ok {
+				if p, ok := e.portToward(s, next); ok {
 					fwd[eIdx] = noc.PortHop{Port: int16(p), Next: next}
 				} else if tbl.IsWireless(s, next) {
-					p, ok := wiOutPort[s]
-					if !ok {
+					p := wiOutPort[s]
+					if p < 0 {
 						return fmt.Errorf("engine: switch %d routed onto wireless but has no WI", s)
 					}
 					fwd[eIdx] = noc.PortHop{Port: int16(p), Next: next}
@@ -445,7 +477,6 @@ func (e *Engine) build() error {
 			sw.SetForwardingClass(ci, fwd)
 		}
 	}
-	e.outToward = outToward
 
 	// Route selector: adaptive hybrid runs classify each packet at
 	// injection (the NI's VC-bind point, where load signals are fresh —
@@ -591,7 +622,7 @@ func (e *Engine) loadProbe(txWI, src, dst sim.SwitchID) route.LoadSignals {
 	// route would take out of the source switch.
 	wired := e.tables.Classes[route.ClassWiredOnly]
 	if next := wired.Next[src][dst]; next != sim.NoSwitch && next != src {
-		if port, ok := e.outToward[src][next]; ok {
+		if port, ok := e.portToward(src, next); ok {
 			s.WiredFreeCredits, s.WiredCreditCap = e.switches[src].Output(port).CreditOccupancy()
 		}
 	}
