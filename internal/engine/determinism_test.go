@@ -128,6 +128,17 @@ func determinismParams() []Params {
 	adaptive.MACPolicyMode = config.PolicySkipEmpty
 	adaptive.RouteSelectMode = config.SelectAdaptive
 
+	// Adaptive selection where WIs sit on mesh neighbours: at two cores
+	// per WI some WI pairs are joined by a wired edge, a hop the engine
+	// forwards through the wired port, so the TxWI and wireless-hop
+	// classification the selector reads must treat it as wired.
+	wiredWI := config.MustXCYM(4, 4, config.ArchHybrid)
+	wiredWI.Name = "adaptive-wired-wi"
+	wiredWI.WarmupCycles = 100
+	wiredWI.MeasureCycles = 800
+	wiredWI.CoresPerWI = 2
+	wiredWI.RouteSelectMode = config.SelectAdaptive
+
 	ber := config.MustXCYM(4, 4, config.ArchWireless)
 	ber.WarmupCycles = 100
 	ber.MeasureCycles = 800
@@ -236,6 +247,7 @@ func determinismParams() []Params {
 		{Cfg: wired, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
 		{Cfg: phased, Traffic: TrafficSpec{Kind: TrafficApp, App: "collective"}},
 		{Cfg: longOutage, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.0005, MemFraction: 0.2}},
+		{Cfg: wiredWI, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.05, MemFraction: 0.2}},
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // together with a Version bump, the same contract perfbench/golden.json and
 // the spec golden hashes follow.
 var determinismGolden = map[string]map[string]string{
-	"wimc-engine/10": {
+	"wimc-engine/14": {
 		"00-16C16M (Wireless)/crossbar/shards=0": "c643c2bdcb46eb43e7cff408c0a97c74ee41b0d1463208242d4485bdd82d70ca",
 		"00-16C16M (Wireless)/crossbar/shards=2": "c643c2bdcb46eb43e7cff408c0a97c74ee41b0d1463208242d4485bdd82d70ca",
 		"01-4C4M (Wireless)/crossbar/shards=0":   "0370737ca6074bb8f6aeb46952865a6a88754a11988d21907ca18e9e613558e9",
@@ -59,6 +59,8 @@ var determinismGolden = map[string]map[string]string{
 		"17-phased/crossbar/shards=2":            "36f9df1c1b73df6b044ec71071d7c52ce93f64a93026bc461553eebb6c1aec51",
 		"18-long-outage/exclusive/shards=0":      "96a3ea75a5a589d304a54ad54c12078856ebe19aee9a5a0c2dc510bdfeeb48e2",
 		"18-long-outage/exclusive/shards=2":      "96a3ea75a5a589d304a54ad54c12078856ebe19aee9a5a0c2dc510bdfeeb48e2",
+		"19-adaptive-wired-wi/crossbar/shards=0": "d74d8d92312676e65113815e8357aab3fe239234d135489e7e96bcd59e606313",
+		"19-adaptive-wired-wi/crossbar/shards=2": "d74d8d92312676e65113815e8357aab3fe239234d135489e7e96bcd59e606313",
 	},
 }
 
@@ -67,7 +69,7 @@ var determinismGolden = map[string]map[string]string{
 // delivery inside a cycle can change the trace without changing any Result
 // field, so the trace is pinned separately under the same contract.
 var determinismTraceGolden = map[string]map[string]string{
-	"wimc-engine/10": {
+	"wimc-engine/14": {
 		"00-16C16M (Wireless)/crossbar/shards=0": "7a8ee6081c498fd03e84141a78439600655bad0bb750d8e9e19e60b4c30022bb",
 		"00-16C16M (Wireless)/crossbar/shards=2": "7a8ee6081c498fd03e84141a78439600655bad0bb750d8e9e19e60b4c30022bb",
 		"01-4C4M (Wireless)/crossbar/shards=0":   "6b4fb30042c045d93b2204132d5a403cdcc453f8f70ca5bf0b36d5aa0e120fcc",
@@ -106,6 +108,8 @@ var determinismTraceGolden = map[string]map[string]string{
 		"17-phased/crossbar/shards=2":            "6cec1fa36619b13785e62eab9ba02235ed32ba053313506b28561a028125623d",
 		"18-long-outage/exclusive/shards=0":      "2e19ff1da877034cd76b6727a7ad24cba8d8acb94744d08ab29d1292d1e392e1",
 		"18-long-outage/exclusive/shards=2":      "2e19ff1da877034cd76b6727a7ad24cba8d8acb94744d08ab29d1292d1e392e1",
+		"19-adaptive-wired-wi/crossbar/shards=0": "1e74b865f34891c571769ecb857eb7a48b12a9895183858e716b10d083cdcfaa",
+		"19-adaptive-wired-wi/crossbar/shards=2": "1e74b865f34891c571769ecb857eb7a48b12a9895183858e716b10d083cdcfaa",
 	},
 }
 

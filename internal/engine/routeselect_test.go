@@ -6,6 +6,7 @@ import (
 
 	"wimc/internal/config"
 	"wimc/internal/route"
+	"wimc/internal/sim"
 )
 
 // hybridSelectCfg returns a shortened hybrid configuration on the
@@ -201,5 +202,56 @@ func TestSelectorWiringMatchesMode(t *testing.T) {
 	}
 	if we.ClassTables().MultiClass() || we.Selector() != nil {
 		t.Fatal("wireless engine built multi-class routing state")
+	}
+}
+
+// TestIsWirelessMatchesPortChoice: a hop the route tables call wireless
+// must be one the engine forwards through the WI, and every other hop one
+// it forwards through a wired port. Dense WI placements put WIs on mesh
+// neighbours and on the chip switches memory stacks attach to; such a hop
+// is reachable over either arc, and the engine takes the wire. The
+// deadlock check, TxWI and wimctopo all read IsWireless, so a hop it
+// mislabels is modeled as a wireless channel the flits never use.
+func TestIsWirelessMatchesPortChoice(t *testing.T) {
+	for _, tc := range []struct {
+		arch config.Architecture
+		cpw  int
+	}{
+		{config.ArchWireless, 1},
+		{config.ArchWireless, 2},
+		{config.ArchHybrid, 4},
+	} {
+		cfg := config.MustXCYM(4, 4, tc.arch)
+		cfg.CoresPerWI = tc.cpw
+		e, err := New(Params{Cfg: cfg, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.01}})
+		if err != nil {
+			t.Fatalf("%s cores_per_wi %d: %v", tc.arch, tc.cpw, err)
+		}
+		hostsWI := make(map[sim.SwitchID]bool)
+		for _, s := range e.graph.WISwitches {
+			hostsWI[s] = true
+		}
+		wiredWIHops := 0
+		for ci, tbl := range e.tables.Tables() {
+			for s, row := range tbl.Next {
+				u := sim.SwitchID(s)
+				for d, v := range row {
+					if s == d {
+						continue
+					}
+					_, wired := e.portToward(u, v)
+					if tbl.IsWireless(u, v) == wired {
+						t.Fatalf("%s cores_per_wi %d: table %d: hop %d->%d: IsWireless %v, wired port %v",
+							tc.arch, tc.cpw, ci, u, v, tbl.IsWireless(u, v), wired)
+					}
+					if wired && hostsWI[u] && hostsWI[v] {
+						wiredWIHops++
+					}
+				}
+			}
+		}
+		if wiredWIHops == 0 {
+			t.Fatalf("%s cores_per_wi %d: no route takes a wired hop between two WIs", tc.arch, tc.cpw)
+		}
 	}
 }

@@ -11,4 +11,4 @@ package engine
 // order, new Result fields — MUST bump Version in the same commit. Pure
 // refactors proven byte-identical by the determinism matrix keep it.
 // The convention is the PR number that last changed simulation output.
-const Version = "wimc-engine/10"
+const Version = "wimc-engine/14"

@@ -28,11 +28,15 @@ type refTables struct {
 
 // refAdjacency constructs directed arcs from the wired edges plus (when
 // includeWireless) the wireless full graph among WI switches, sorted by
-// (rank, target ID), and the set of wireless hops.
+// (rank, target ID), and the set of wireless hops: WI pairs no wired edge
+// joins.
 func refAdjacency(g *topo.Graph, includeWireless bool) ([][]arc, map[[2]sim.SwitchID]bool) {
 	n := g.SwitchCount()
 	adj := make([][]arc, n)
+	wired := map[[2]sim.SwitchID]bool{}
 	for _, e := range g.Edges {
+		wired[[2]sim.SwitchID{e.A, e.B}] = true
+		wired[[2]sim.SwitchID{e.B, e.A}] = true
 		rank := int32(rankIO)
 		if e.Kind == topo.EdgeMesh || e.Kind == topo.EdgeInterposer {
 			if g.Nodes[e.A].GY == g.Nodes[e.B].GY {
@@ -58,7 +62,7 @@ func refAdjacency(g *topo.Graph, includeWireless bool) ([][]arc, map[[2]sim.Swit
 			for j, b := range g.WISwitches {
 				if i != j {
 					adj[a] = append(adj[a], arc{to: b, weight: ww, rank: rankWireless})
-					wmap[[2]sim.SwitchID{a, b}] = true
+					wmap[[2]sim.SwitchID{a, b}] = !wired[[2]sim.SwitchID{a, b}]
 				}
 			}
 		}

@@ -26,6 +26,10 @@ type Tables struct {
 	// when the table routes no wireless hop (wired architectures and the
 	// wired-only class).
 	wi []int32
+	// wiredWI has bit i*nwi+j set when a wired edge joins WIs i and j of
+	// the nwi WIs: the engine forwards such a hop through the wired port.
+	wiredWI []uint64
+	nwi     int
 	// workers bounds the pool used while the tables are built.
 	workers int
 }
@@ -84,6 +88,14 @@ func buildSingle(g *topo.Graph, workers int, includeWireless bool) (*Tables, err
 		for i, s := range g.WISwitches {
 			t.wi[s] = int32(i)
 		}
+		t.nwi = len(g.WISwitches)
+		t.wiredWI = make([]uint64, (t.nwi*t.nwi+63)/64)
+		for _, e := range g.Edges {
+			if i, j := int(t.wi[e.A]), int(t.wi[e.B]); i >= 0 && j >= 0 {
+				t.setWiredWI(i*t.nwi + j)
+				t.setWiredWI(j*t.nwi + i)
+			}
+		}
 		wis = append(wis, g.WISwitches...)
 		slices.Sort(wis)
 	}
@@ -112,10 +124,19 @@ func buildSingle(g *topo.Graph, workers int, includeWireless bool) (*Tables, err
 	return t, nil
 }
 
-// IsWireless reports whether the hop from u to v crosses the wireless fabric.
+// IsWireless reports whether the hop from u to v crosses the wireless
+// fabric: both switches host WIs and no wired edge joins them. A route may
+// reach a wired neighbor over either arc at equal cost, and the engine
+// forwards such a hop through the wired port, so it is a wired hop.
 func (t *Tables) IsWireless(u, v sim.SwitchID) bool {
-	return t.wi != nil && u != v && t.wi[u] >= 0 && t.wi[v] >= 0
+	if t.wi == nil || u == v || t.wi[u] < 0 || t.wi[v] < 0 {
+		return false
+	}
+	k := int(t.wi[u])*t.nwi + int(t.wi[v])
+	return t.wiredWI[k/64]&(1<<(k%64)) == 0
 }
+
+func (t *Tables) setWiredWI(k int) { t.wiredWI[k/64] |= 1 << (k % 64) }
 
 // Path returns the switch sequence from s to d (inclusive).
 func (t *Tables) Path(s, d sim.SwitchID) []sim.SwitchID {

@@ -256,7 +256,7 @@ var goldenSpecs = []struct {
 	{
 		name: "default-single-run",
 		spec: func() *Spec { return baseSpec() },
-		hash: "a3482aca236ce3a358e2d952ba4e54567eb1aaa352faa1eec073fa2fb5d1e64d",
+		hash: "be82f6eaf321c10bb81e01de60da16e374dfc66529eea8a69d65deda184e81c8",
 	},
 	{
 		name: "channel-grid",
@@ -273,7 +273,7 @@ var goldenSpecs = []struct {
 			}}}
 			return s
 		},
-		hash: "b0409d129eb20b1d52e6f28a400c50ccf346d3a960ac69e1130bde8b11147c71",
+		hash: "4731c6fbbc98291e9d5943f67a5d296cb31ecf978d9e8ed9eae5408a81b249d1",
 	},
 }
 
@@ -312,7 +312,7 @@ func TestGoldenExampleSpecFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = "58b6b95c0686ac4190f3250d98fcf4483d117989786ad1672987a113db94bf83"
+	const golden = "73666ea10c13f7f4447ca323ae0a33104ec58d1791aee8141625530baf84b2ab"
 	if h != golden {
 		t.Errorf("hybrid_policy.json hash %s, committed golden %s", h, golden)
 	}
