@@ -376,7 +376,8 @@ func FuzzRouteTables(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(1), uint8(4), uint8(1), uint8(2), uint8(4), uint8(2), uint8(255), false)
 	f.Add(uint8(8), uint8(3), uint8(2), uint8(1), uint8(3), uint8(1), uint8(1), uint8(5), uint8(128), true)
 	f.Add(uint8(4), uint8(1), uint8(0), uint8(2), uint8(1), uint8(2), uint8(4), uint8(2), uint8(100), false)
-	f.Add(uint8(3), uint8(3), uint8(0), uint8(255), uint8(1), uint8(2), uint8(4), uint8(2), uint8(255), false)
+	f.Add(uint8(3), uint8(3), uint8(0), uint8(224), uint8(1), uint8(2), uint8(4), uint8(2), uint8(255), false)
+	f.Add(uint8(5), uint8(2), uint8(1), uint8(255), uint8(1), uint8(2), uint8(4), uint8(2), uint8(255), false)
 	f.Fuzz(func(t *testing.T, chips, archSel, cpwSel, ww, mesh, interposer, serial, wideIO, boundary uint8, tree bool) {
 		archs := []config.Architecture{
 			config.ArchSubstrate, config.ArchInterposer, config.ArchWireless, config.ArchHybrid,
@@ -396,7 +397,11 @@ func FuzzRouteTables(f *testing.F) {
 				cfg.WirelessChannels = n
 			}
 		}
-		cfg.WirelessHopWeight = int(ww)%300 + 1 // past dialMaxWeight: the heap path
+		cfg.WirelessHopWeight = int(ww)%8 + 1
+		if ww >= 224 {
+			// dialMaxWeight and past it, where searches use the heap.
+			cfg.WirelessHopWeight = dialMaxWeight + 8*(int(ww)-224)
+		}
 		cfg.MeshLatency = int(mesh)%6 + 1
 		cfg.InterposerLatency = int(interposer)%6 + 1
 		cfg.SerialLatency = int(serial)%8 + 1
