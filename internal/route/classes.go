@@ -111,7 +111,7 @@ func BuildClasses(g *topo.Graph, workers int) (*ClassTables, error) {
 // switch of each source is memoized along next-hop chains (routing is
 // memoryless, so the first wireless hop at or after a switch is shared by
 // every source routing through it) — O(n) per destination. Columns are
-// independent and fan out across the worker pool like the Dijkstra fills.
+// independent and fan out across the worker pool.
 func txWITable(g *topo.Graph, t *Tables, workers int) [][]sim.SwitchID {
 	n := g.SwitchCount()
 	tx := newTable(n, sim.NoSwitch)

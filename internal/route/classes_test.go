@@ -130,7 +130,7 @@ func TestTxWIMatchesPathWalk(t *testing.T) {
 }
 
 // TestBuildClassesWorkerInvariance: the per-class parallel table build
-// (class-0 and wired-only Dijkstra columns plus the TxWI memo fill) must
+// (class-0 and wired-only shortest-path blocks plus the TxWI memo fill) must
 // be byte-identical across worker counts. Running under -race (CI's short
 // suite) doubles as the data-race smoke for the per-class build.
 func TestBuildClassesWorkerInvariance(t *testing.T) {

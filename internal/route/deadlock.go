@@ -173,16 +173,8 @@ func (ch *channels) count() int { return 3 * len(ch.hops) }
 
 // id returns the channel of hop u->v in class; v must be a hop of u.
 func (ch *channels) id(u, v sim.SwitchID, class int) int32 {
-	lo, hi := ch.start[u], ch.start[u+1]
-	for lo < hi { // binary search: the first hop >= v
-		mid := int32(uint32(lo+hi) >> 1)
-		if ch.hops[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return 3*lo + int32(class)
+	i, _ := slices.BinarySearch(ch.hops[ch.start[u]:ch.start[u+1]], v)
+	return 3*(ch.start[u]+int32(i)) + int32(class)
 }
 
 // hop decodes a channel ID.
@@ -211,7 +203,6 @@ type depGraph struct {
 	first, last []int32 // list ends, -1 when empty
 	to, next    []int32
 	bitsAt      []int32 // offset of c's bitset in bits, -1 if none
-	recent      []int32 // the dependency of c last added or found, -1 if none
 	bits        []uint64
 }
 
@@ -223,20 +214,18 @@ func newDepGraph(ch *channels) *depGraph {
 		first:  make([]int32, nc),
 		last:   make([]int32, nc),
 		bitsAt: make([]int32, nc),
-		recent: make([]int32, nc),
 	}
 	for c := range dg.first {
-		dg.first[c], dg.last[c], dg.bitsAt[c], dg.recent[c] = -1, -1, -1, -1
+		dg.first[c], dg.last[c], dg.bitsAt[c] = -1, -1, -1
 	}
 	return dg
 }
 
 // add records that channel prev waits on channel c (no-op for prev < 0).
 func (dg *depGraph) add(prev, c int32) {
-	if prev < 0 || dg.recent[prev] == c {
+	if prev < 0 {
 		return
 	}
-	dg.recent[prev] = c
 	if off := dg.bitsAt[prev]; off >= 0 {
 		if !dg.mark(prev, off, c) {
 			return

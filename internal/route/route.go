@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"wimc/internal/config"
 	"wimc/internal/exp/pool"
@@ -204,13 +203,12 @@ func adjacency(g *topo.Graph, wis []sim.SwitchID, ww int32) [][]arc {
 		adj[e.A] = append(adj[e.A], arc{to: e.B, weight: w, rank: rank})
 		adj[e.B] = append(adj[e.B], arc{to: e.A, weight: w, rank: rank})
 	}
-	for s := range adj {
-		as := adj[s]
-		sort.Slice(as, func(i, j int) bool {
-			if as[i].rank != as[j].rank {
-				return as[i].rank < as[j].rank
+	for _, as := range adj {
+		slices.SortFunc(as, func(a, b arc) int {
+			if a.rank != b.rank {
+				return int(a.rank - b.rank)
 			}
-			return as[i].to < as[j].to
+			return int(a.to - b.to)
 		})
 	}
 	for _, a := range wis {
