@@ -182,14 +182,11 @@ type wiredPort struct {
 }
 
 // portToward returns the wired output port of switch s feeding next. A
-// switch has a handful of wired ports, so a scan beats any map; it runs
-// backwards so that, were two edges to join the same pair, the port wired
-// last would win, as it did when a map was overwritten.
+// switch has a handful of wired ports, so a scan beats any map.
 func (e *Engine) portToward(s, next sim.SwitchID) (int, bool) {
-	ps := e.wiredOut[s]
-	for i := len(ps) - 1; i >= 0; i-- {
-		if ps[i].to == next {
-			return ps[i].port, true
+	for _, p := range e.wiredOut[s] {
+		if p.to == next {
+			return p.port, true
 		}
 	}
 	return 0, false

@@ -222,7 +222,7 @@ func adjacency(g *topo.Graph, wis []sim.SwitchID, ww int32) [][]arc {
 }
 
 // destBlock is the number of destinations one buildShortest work item
-// covers: its rows segments Next[s][d0:d0+destBlock] are contiguous.
+// covers: its row segments Next[s][d0:d0+destBlock] are contiguous.
 const destBlock = 64
 
 // buildShortest fills the tables with per-source shortest paths: for every
