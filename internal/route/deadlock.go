@@ -243,13 +243,13 @@ func (dg *depGraph) add(prev, c int32) {
 			// out of v, 3*(start[v+1]-start[v]) IDs from 3*start[v].
 			v := dg.ch.hops[prev/3]
 			span := 3 * (dg.ch.start[v+1] - dg.ch.start[v])
-			off := int32(len(dg.bits))
+			at := int32(len(dg.bits))
 			dg.bits = append(dg.bits, make([]uint64, (span+63)/64)...)
-			dg.bitsAt[prev] = off
+			dg.bitsAt[prev] = at
 			for e := dg.first[prev]; e >= 0; e = dg.next[e] {
-				dg.mark(prev, off, dg.to[e])
+				dg.mark(prev, at, dg.to[e])
 			}
-			dg.mark(prev, off, c)
+			dg.mark(prev, at, c)
 		}
 	}
 	e := int32(len(dg.to))
