@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"testing"
 
 	"wimc/internal/config"
@@ -144,5 +145,39 @@ func TestCheckDeadlockFreeAcceptsLine(t *testing.T) {
 	})
 	if err := CheckDeadlockFree(ringGraph(n), line); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDepGraphDedupAcrossBitsetSwitch: a channel's dependency list keeps
+// each dependency once, in discovery order, before and after it grows
+// past depScan and switches from scanning to its bitset.
+func TestDepGraphDedupAcrossBitsetSwitch(t *testing.T) {
+	// Switch 0's one hop enters switch 1, whose hops go to 0 and 2..fan.
+	const fan = 4*depScan + 1
+	ch := &channels{start: []int32{0, 1, fan + 1}, hops: []sim.SwitchID{1}}
+	ch.hops = append(ch.hops, 0)
+	for v := 2; v <= fan; v++ {
+		ch.hops = append(ch.hops, sim.SwitchID(v))
+	}
+	dg := newDepGraph(ch)
+	prev := ch.id(0, 1, 0)
+	var want []int32
+	for i := 0; i < 2*depScan; i++ {
+		// Every new channel out of switch 1 (by hop, then class), each
+		// followed by a repeat of an earlier one.
+		c := ch.id(1, ch.hops[1+i/3], i%3)
+		dg.add(prev, c)
+		want = append(want, c)
+		dg.add(prev, want[i/2])
+	}
+	var got []int32
+	for e := dg.first[prev]; e >= 0; e = dg.next[e] {
+		got = append(got, dg.to[e])
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("dependencies %v, want %v", got, want)
+	}
+	if dg.bitsAt[prev] < 0 {
+		t.Fatalf("a list of %d dependencies has no bitset", len(got))
 	}
 }

@@ -24,7 +24,7 @@
 //
 // Shortest-path tables run one search per destination. Arc weights are
 // small positive integers, so each search is a Dial bucket queue (a
-// binary heap past weight 256). The wireless full graph is never
+// binary heap when an arc outweighs the switch count). The wireless full graph is never
 // materialized: a search relaxes it once, from the first WI it expands,
 // since every later WI is at least as far away. Destinations go to the
 // worker pool in blocks of 64, and a block fills Next row segment by row
@@ -35,7 +35,7 @@
 // Sequential costs for the 64-chip wireless preset (1088 switches, 128
 // WIs) on a 2-vCPU Xeon guest: tables about 45 ms and 10 MB, most of it
 // the two n×n tables (BenchmarkBuildClasses64); the deadlock check about
-// 45 ms and 4.6 MB (BenchmarkCheckDeadlockFree64). oracle_test.go keeps
+// 50 ms and 4.3 MB (BenchmarkCheckDeadlockFree64). oracle_test.go keeps
 // the heap-per-destination build and the map-keyed check as references.
 //
 // # Class tables

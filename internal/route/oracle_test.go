@@ -399,8 +399,9 @@ func FuzzRouteTables(f *testing.F) {
 		}
 		cfg.WirelessHopWeight = int(ww)%8 + 1
 		if ww >= 224 {
-			// dialMaxWeight and past it, where searches use the heap.
-			cfg.WirelessHopWeight = dialMaxWeight + 8*(int(ww)-224)
+			// Heavier than any fuzzed package has switches, where
+			// searches use the heap.
+			cfg.WirelessHopWeight = 256 + 8*(int(ww)-224)
 		}
 		cfg.MeshLatency = int(mesh)%6 + 1
 		cfg.InterposerLatency = int(interposer)%6 + 1

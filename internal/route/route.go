@@ -391,14 +391,20 @@ func lca(a, b sim.SwitchID, parent []sim.SwitchID, depth []int32,
 
 const unreachable = int32(math.MaxInt32 / 4)
 
-// dialMaxWeight bounds the arc weight the bucket queue serves; heavier
-// arcs (far beyond any preset's) fall back to a binary heap.
-const dialMaxWeight = 256
-
 // search is the scratch of one single-source shortest-path search: the
 // distance vector and a priority queue. Arc weights are small positive
 // integers, so the queue is a Dial bucket queue — maxW+1 circular buckets
-// indexed by distance — unless maxW exceeds dialMaxWeight.
+// indexed by distance — while maxW is at most the switch count n.
+//
+// A Dial search visits every bucket from 0 to its farthest queued
+// distance, which can pass the farthest switch by up to maxW (a wireless
+// arc queued before a wired path beat it). With maxW <= n those empty
+// buckets, like the bucket array, cost no more than the n-entry distance
+// vector the search fills anyway. A heavier arc (set by hand; the presets'
+// weigh at most 4) would make them dominate, so such searches use a
+// binary heap instead, whose pushes cost a log factor: on the 64-chip
+// preset a boxing-free binary heap alone builds the tables about 3x slower
+// than the bucket queue.
 type search struct {
 	dist    []int32
 	buckets [][]sim.SwitchID // nil selects heap
@@ -407,7 +413,7 @@ type search struct {
 
 func newSearch(n int, maxW int32) *search {
 	sp := &search{dist: make([]int32, n)}
-	if maxW <= dialMaxWeight {
+	if int(maxW) <= n {
 		sp.buckets = make([][]sim.SwitchID, maxW+1)
 	}
 	return sp
